@@ -34,16 +34,17 @@ const char *kernelClassName(KernelClass c);
 
 /**
  * Accumulates wall-clock time per kernel class. The CPU prover brackets
- * each kernel with ScopedKernelTimer; the resulting breakdown reproduces
- * Table 1.
+ * each kernel with a KernelScope (trace/prover_context.h); the resulting
+ * breakdown reproduces Table 1.
  *
- * ScopedKernelTimer fires inside thread-pool workers, so accumulation
- * must be race-free: time is stored as integer nanoseconds and added
- * with relaxed atomic fetch_add. Relaxed is sufficient (audited with
- * the src/obs atomics, DESIGN §6.7): readers only observe totals after
- * the parallel region has joined, and the pool's completion handshake
- * -- a mutex acquire/release pair -- is the synchronization edge that
- * makes every worker's relaxed adds visible to the reader. This class
+ * A scope may close on any thread, and provers running concurrently
+ * may share one breakdown, so accumulation must be race-free: time is
+ * stored as integer nanoseconds and added with relaxed atomic
+ * fetch_add. Relaxed is sufficient (audited with the src/obs atomics,
+ * DESIGN §6.7): readers only observe totals after the parallel region
+ * has joined, and the pool's completion handshake -- a mutex
+ * acquire/release pair -- is the synchronization edge that makes every
+ * worker's relaxed adds visible to the reader. This class
  * deliberately has no mutex, so the thread-safety annotations of
  * common/sync.h do not apply; the TSAN-leg test
  * KernelTimeBreakdown.ConcurrentAddIsExact pins the contract.
@@ -108,34 +109,6 @@ class KernelTimeBreakdown
         static_cast<size_t>(KernelClass::NumClasses);
 
     std::atomic<uint64_t> nanos_[kNumClasses] = {};
-};
-
-/** RAII timer attributing the enclosed scope to a kernel class. */
-class ScopedKernelTimer
-{
-  public:
-    ScopedKernelTimer(KernelTimeBreakdown *breakdown_, KernelClass c)
-        : breakdown(breakdown_), cls(c),
-          start(std::chrono::steady_clock::now())
-    {}
-
-    ~ScopedKernelTimer()
-    {
-        if (breakdown) {
-            const auto end = std::chrono::steady_clock::now();
-            breakdown->add(cls,
-                           std::chrono::duration<double>(end - start)
-                               .count());
-        }
-    }
-
-    ScopedKernelTimer(const ScopedKernelTimer &) = delete;
-    ScopedKernelTimer &operator=(const ScopedKernelTimer &) = delete;
-
-  private:
-    KernelTimeBreakdown *breakdown;
-    KernelClass cls;
-    std::chrono::steady_clock::time_point start;
 };
 
 /** Simple wall-clock stopwatch. */

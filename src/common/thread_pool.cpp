@@ -195,13 +195,23 @@ globalThreadPool()
 void
 setGlobalThreadCount(unsigned threads)
 {
-    MutexLock lock(global_mutex);
-    requested_threads = threads;
-    const unsigned n = threads ? threads : autoThreadCount();
-    if (global_pool == nullptr)
-        global_pool = new ThreadPool(n);
-    else
-        global_pool->resize(n);
+    ThreadPool *pool = nullptr;
+    unsigned n = 0;
+    {
+        MutexLock lock(global_mutex);
+        requested_threads = threads;
+        n = threads ? threads : autoThreadCount();
+        if (global_pool == nullptr) {
+            global_pool = new ThreadPool(n);
+            return;
+        }
+        pool = global_pool;
+    }
+    // Resize after releasing global_mutex: resize() takes the submit
+    // mutex, and a nested parallelFor holds the submit mutex while
+    // globalThreadPool() takes global_mutex. The pool is never freed,
+    // so the pointer stays valid.
+    pool->resize(n);
 }
 
 unsigned

@@ -174,8 +174,14 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
     // ---- DEEP quotient G over the LDE domain (bit-reversed order). ----
     std::vector<Fp2> g_values(domain);
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
-        UNIZK_SPAN("fri/deep-quotient");
+        KernelScope scope(
+            ctx, KernelClass::Polynomial, "fri/deep-quotient",
+            VecOpKernel{domain,
+                        static_cast<uint32_t>(num_polys + points.size()), 1,
+                        static_cast<uint32_t>(
+                            2 * (num_polys + 6 * points.size())),
+                        0},
+            "FRI: DEEP quotient");
 
         // Per-index combination: every i writes its own slot and the
         // k-order of the inner sum is fixed, so the result is
@@ -214,12 +220,6 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
                         });
         }
     }
-    ctx.record(VecOpKernel{domain,
-                           static_cast<uint32_t>(num_polys + points.size()),
-                           1, static_cast<uint32_t>(
-                               2 * (num_polys + 6 * points.size())),
-                           0},
-               "FRI: DEEP quotient");
 
     // ---- Commit phase: fold until the residual is short. ----
     std::vector<std::vector<Fp2>> layer_values;
@@ -235,38 +235,38 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
         const uint32_t cap_h = std::min<uint32_t>(
             cfg.capHeight, log2Exact(leaves.size()));
         {
-            ScopedKernelTimer timer(ctx.breakdown, KernelClass::MerkleTree);
-            UNIZK_SPAN("fri/layer-commit");
+            KernelScope scope(ctx, KernelClass::MerkleTree,
+                              "fri/layer-commit",
+                              MerkleKernel{cur.size() / 2, 4, cap_h},
+                              "FRI: layer commit");
             layer_trees.emplace_back(std::move(leaves), cap_h);
         }
-        ctx.record(MerkleKernel{cur.size() / 2, 4, cap_h},
-                   "FRI: layer commit");
         for (const auto &digest : layer_trees.back().cap())
             challenger.observe(digest);
 
         const Fp2 beta = challenger.challengeExt();
         layer_values.push_back(cur);
         {
-            ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
-            UNIZK_SPAN("fri/fold");
+            KernelScope scope(ctx, KernelClass::Polynomial, "fri/fold",
+                              VecOpKernel{cur.size() / 2, 2, 1, 12, 0},
+                              "FRI: fold");
             cur = foldLayer(cur, beta, layer_shift);
         }
-        ctx.record(VecOpKernel{cur.size(), 2, 1, 12, 0}, "FRI: fold");
         layer_shift = layer_shift.squared();
         poly_len /= 2;
     }
 
     // ---- Final polynomial: coset-iNTT of the residual layer. ----
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
-        UNIZK_SPAN("fri/final-poly-intt");
+        KernelScope scope(ctx, KernelClass::Ntt, "fri/final-poly-intt",
+                          NttKernel{log2Exact(cur.size()), 2,
+                                    /*inverse=*/true, /*coset=*/true,
+                                    /*bitrevOutput=*/false,
+                                    PolyLayout::PolyMajor},
+                          "FRI: final poly iNTT");
         bitReversePermute(cur); // back to natural order for the iNTT
         cosetInttNNExt(cur, layer_shift);
     }
-    ctx.record(NttKernel{log2Exact(cur.size()), 2, /*inverse=*/true,
-                         /*coset=*/true, /*bitrevOutput=*/false,
-                         PolyLayout::PolyMajor},
-               "FRI: final poly iNTT");
     for (size_t i = poly_len; i < cur.size(); ++i) {
         unizk_assert(cur[i].isZero(),
                      "FRI residual polynomial exceeds degree bound");
@@ -280,15 +280,14 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
 
     // ---- Proof-of-work grinding. ----
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::OtherHash);
-        UNIZK_SPAN("fri/pow");
+        KernelScope scope(ctx, KernelClass::OtherHash, "fri/pow");
         const Fp pow_challenge = challenger.challenge();
         uint64_t nonce = 0;
         while (!powValid(pow_challenge, nonce, cfg.powBits))
             ++nonce;
         proof.powNonce = nonce;
         UNIZK_COUNTER_ADD("fri.pow_iterations", nonce + 1);
-        ctx.record(HashKernel{nonce + 1}, "FRI: proof-of-work");
+        scope.record(HashKernel{nonce + 1}, "FRI: proof-of-work");
         challenger.observe(Fp(nonce));
     }
 

@@ -4,7 +4,6 @@
 
 #include "common/thread_pool.h"
 #include "ntt/ntt.h"
-#include "obs/obs.h"
 
 namespace unizk {
 
@@ -14,16 +13,15 @@ PolynomialBatch::fromValues(std::vector<std::vector<Fp>> values,
                             const std::string &label)
 {
     unizk_assert(!values.empty(), "empty polynomial batch");
-    const size_t n = values[0].size();
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
-        UNIZK_SPAN("commit/values-intt");
+        KernelScope scope(ctx, KernelClass::Ntt, "commit/values-intt",
+                          NttKernel{log2Exact(values[0].size()),
+                                    values.size(), /*inverse=*/true,
+                                    /*coset=*/false, /*bitrevOutput=*/false,
+                                    PolyLayout::PolyMajor},
+                          label + ": iNTT^NN");
         inttBatchNN(values);
     }
-    ctx.record(NttKernel{log2Exact(n), values.size(), /*inverse=*/true,
-                         /*coset=*/false, /*bitrevOutput=*/false,
-                         PolyLayout::PolyMajor},
-               label + ": iNTT^NN");
     return PolynomialBatch(std::move(values), cfg, ctx, label);
 }
 
@@ -57,17 +55,22 @@ PolynomialBatch::PolynomialBatch(std::vector<std::vector<Fp>> coeffs,
     {
         std::vector<std::vector<Fp>> ldes;
         {
-            ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
-            UNIZK_SPAN("commit/lde");
+            KernelScope scope(ctx, KernelClass::Ntt, "commit/lde",
+                              NttKernel{log2Exact(lde_size), num_polys,
+                                        /*inverse=*/false, /*coset=*/true,
+                                        /*bitrevOutput=*/true,
+                                        PolyLayout::PolyMajor},
+                              label + ": LDE coset-NTT^NR");
             ldes = ldeBatch(coeffs_, cfg_.blowup(), cfg_.shift());
         }
         // Poly-major -> index-major transpose while forming leaves; on
         // the CPU this is real work (Table 1's Layout Transform), on
-        // UniZK the transpose buffer hides it. Parallel over leaf rows:
-        // each destination row is written by exactly one chunk.
-        ScopedKernelTimer timer(ctx.breakdown,
-                                KernelClass::LayoutTransform);
-        UNIZK_SPAN("commit/leaf-transpose");
+        // UniZK the global transpose buffer hides it. Parallel over
+        // leaf rows: each destination row is written by one chunk.
+        KernelScope scope(ctx, KernelClass::LayoutTransform,
+                          "commit/leaf-transpose",
+                          TransposeKernel{num_polys, lde_size},
+                          label + ": leaf transpose");
         parallelFor(0, lde_size, /*grain=*/256,
                     [&](size_t lo, size_t hi) {
                         for (size_t i = lo; i < hi; ++i)
@@ -75,25 +78,15 @@ PolynomialBatch::PolynomialBatch(std::vector<std::vector<Fp>> coeffs,
                                 leaves[i][p] = ldes[p][i];
                     });
     }
-    ctx.record(NttKernel{log2Exact(lde_size), num_polys, /*inverse=*/false,
-                         /*coset=*/true, /*bitrevOutput=*/true,
-                         PolyLayout::PolyMajor},
-               label + ": LDE coset-NTT^NR");
-    // Forming index-major leaves from poly-major LDE output is the
-    // layout transform the global transpose buffer hides on UniZK.
-    ctx.record(TransposeKernel{num_polys, lde_size},
-               label + ": leaf transpose");
 
     const uint32_t cap_height =
         std::min<uint32_t>(cfg_.capHeight, log2Exact(lde_size));
-    {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::MerkleTree);
-        UNIZK_SPAN("commit/merkle-tree");
-        tree_ = std::make_unique<MerkleTree>(std::move(leaves), cap_height);
-    }
-    ctx.record(MerkleKernel{lde_size, static_cast<uint32_t>(num_polys),
-                            cap_height},
-               label + ": Merkle tree");
+    KernelScope scope(ctx, KernelClass::MerkleTree, "commit/merkle-tree",
+                      MerkleKernel{lde_size,
+                                   static_cast<uint32_t>(num_polys),
+                                   cap_height},
+                      label + ": Merkle tree");
+    tree_ = std::make_unique<MerkleTree>(std::move(leaves), cap_height);
 }
 
 Fp2

@@ -166,15 +166,7 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
     const Fp shift = cfg.shift();
 
     Challenger challenger;
-    size_t hash_mark = 0;
-    auto record_challenger = [&](const char *label) {
-        if (challenger.permutationCount() > hash_mark) {
-            ctx.record(HashKernel{challenger.permutationCount() -
-                                  hash_mark},
-                       std::string("challenger: ") + label);
-            hash_mark = challenger.permutationCount();
-        }
-    };
+    TranscriptHashes transcript(ctx);
 
     PlonkProof proof;
     proof.rows = n;
@@ -206,7 +198,7 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
 
     const Fp beta = challenger.challenge();
     const Fp gamma = challenger.challenge();
-    record_challenger("beta/gamma");
+    transcript.mark(challenger.permutationCount(), "beta/gamma");
 
     // ---- Permutation argument Z polynomials (copy constraints). ----
     std::vector<Fp> w_pows(n);
@@ -219,10 +211,13 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
     }
     std::vector<std::vector<Fp>> z_values(reps);
     {
-        // Timed once around the region: worker threads must not touch
-        // the shared breakdown.
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
-        UNIZK_SPAN("plonk/permutation-z");
+        KernelScope scope(
+            ctx, KernelClass::Polynomial, "plonk/permutation-z",
+            VecOpKernel{n, static_cast<uint32_t>(6 * reps),
+                        static_cast<uint32_t>(2 * reps), 12, 0},
+            "copy constraints: f,g");
+        scope.record(PartialProductKernel{n * reps, 8},
+                     "quotient chunk PP");
         parallelFor(0, reps, /*grain=*/1, [&](size_t r_lo, size_t r_hi) {
             for (size_t r = r_lo; r < r_hi; ++r) {
                 std::vector<Fp> f(n, Fp::one()), g(n, Fp::one());
@@ -253,10 +248,6 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
             }
         });
     }
-    ctx.record(VecOpKernel{n, static_cast<uint32_t>(6 * reps),
-                           static_cast<uint32_t>(2 * reps), 12, 0},
-               "copy constraints: f,g");
-    ctx.record(PartialProductKernel{n * reps, 8}, "quotient chunk PP");
 
     PolynomialBatch z_batch = PolynomialBatch::fromValues(
         std::move(z_values), cfg, ctx, "Z");
@@ -265,47 +256,35 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
         challenger.observe(digest);
 
     const Fp alpha = challenger.challenge();
-    record_challenger("alpha");
+    transcript.mark(challenger.permutationCount(), "alpha");
 
     // ---- Quotient polynomial on the 4n coset domain. ----
     const size_t big = n << quotient_blowup_bits;
     std::vector<Fp> combined(big, Fp::zero());
     {
-        UNIZK_SPAN("plonk/quotient");
-        ScopedKernelTimer ntt_timer(ctx.breakdown, KernelClass::Ntt);
-        // LDEs of everything we need, natural order. All 8 + 4*reps
-        // source polynomials are independent: gather them into one
-        // batch so the engine picks the parallel axis and builds the
-        // twiddle table once.
-        const size_t num_ldes = 8 + 4 * reps;
-        std::vector<std::vector<Fp>> batch(num_ldes);
-        for (size_t t = 0; t < 5; ++t)
-            batch[t] = key.constants->coefficients(t);
-        for (size_t t = 5; t < 8; ++t)
-            batch[t] = key.constants->coefficients(t);
-        for (size_t t = 0; t < 3 * reps; ++t)
-            batch[8 + t] = wires.coefficients(t);
-        for (size_t t = 0; t < reps; ++t)
-            batch[8 + 3 * reps + t] = z_batch.coefficients(t);
-        auto ldes = ldeBatchNN(std::move(batch),
-                               uint32_t{1} << quotient_blowup_bits, shift);
-        std::vector<std::vector<Fp>> sel_lde(5), sig_lde(3);
-        std::vector<std::vector<Fp>> wire_lde(3 * reps), z_lde(reps);
-        for (size_t t = 0; t < 5; ++t)
-            sel_lde[t] = std::move(ldes[t]);
-        for (size_t t = 0; t < 3; ++t)
-            sig_lde[t] = std::move(ldes[5 + t]);
-        for (size_t t = 0; t < 3 * reps; ++t)
-            wire_lde[t] = std::move(ldes[8 + t]);
-        for (size_t t = 0; t < reps; ++t)
-            z_lde[t] = std::move(ldes[8 + 3 * reps + t]);
-        ctx.record(NttKernel{log2Exact(big),
-                             8 + 4 * reps, false, true, false,
-                             PolyLayout::PolyMajor},
-                   "quotient: coset LDEs");
-
-        ScopedKernelTimer poly_timer(ctx.breakdown,
-                                     KernelClass::Polynomial);
+        // LDEs of everything we need, natural order: the 8 constants
+        // (selectors, then sigmas), the 3*reps wires and the reps Z
+        // polynomials. They are independent: one batch lets the engine pick
+        // the parallel axis and build the twiddle table once.
+        std::vector<std::vector<Fp>> lde(8 + 4 * reps);
+        {
+            KernelScope scope(ctx, KernelClass::Ntt, "plonk/quotient-lde",
+                              NttKernel{log2Exact(big), 8 + 4 * reps, false,
+                                        true, false, PolyLayout::PolyMajor},
+                              "quotient: coset LDEs");
+            size_t t = 0;
+            for (const auto *b : {key.constants.get(), &wires, &z_batch})
+                for (size_t p = 0; p < b->polyCount(); ++p)
+                    lde[t++] = b->coefficients(p);
+            lde = ldeBatchNN(std::move(lde),
+                             uint32_t{1} << quotient_blowup_bits, shift);
+        }
+        KernelScope scope(
+            ctx, KernelClass::Polynomial, "plonk/quotient-eval",
+            VecOpKernel{big, static_cast<uint32_t>(8 + 4 * reps), 1,
+                        static_cast<uint32_t>(30 * reps),
+                        /*randomAccessGranularity=*/8 * 3},
+            "quotient: gate + permutation constraints");
         // Domain points and L_1 values.
         const Fp w_big = Fp::primitiveRootOfUnity(log2Exact(big));
         std::vector<Fp> xs(big);
@@ -341,7 +320,12 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
                 l_rows[k][i] = z_h[i] * point * denom[i];
         }
 
+        // Z_H is nonzero on the coset and takes only `rot` distinct
+        // values: invert those once, divide per point below.
         const size_t rot = size_t{1} << quotient_blowup_bits;
+        std::vector<Fp> z_h_inv(
+            z_h.begin(), z_h.begin() + static_cast<std::ptrdiff_t>(rot));
+        batchInverse(z_h_inv);
         // Alpha powers per repetition, precomputed so the evaluation
         // can run index-major: each point i is independent, and the
         // per-point accumulation keeps the original r-ascending order,
@@ -361,15 +345,13 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
             for (size_t i = lo; i < hi; ++i) {
                 Fp acc;
                 for (size_t r = 0; r < reps; ++r) {
-                    const auto &a = wire_lde[3 * r + 0];
-                    const auto &b = wire_lde[3 * r + 1];
-                    const auto &c = wire_lde[3 * r + 2];
-                    const auto &z = z_lde[r];
-                    Fp gate = sel_lde[0][i] * a[i] +
-                              sel_lde[1][i] * b[i] +
-                              sel_lde[2][i] * c[i] +
-                              sel_lde[3][i] * a[i] * b[i] +
-                              sel_lde[4][i];
+                    const auto &a = lde[8 + 3 * r + 0];
+                    const auto &b = lde[8 + 3 * r + 1];
+                    const auto &c = lde[8 + 3 * r + 2];
+                    const auto &z = lde[8 + 3 * reps + r];
+                    Fp gate = lde[0][i] * a[i] + lde[1][i] * b[i] +
+                              lde[2][i] * c[i] +
+                              lde[3][i] * a[i] * b[i] + lde[4][i];
                     for (size_t k = 0; k < pub_rows.size(); ++k)
                         gate -= l_rows[k][i] * proof.publicInputs[r][k];
                     Fp f = Fp::one(), g = Fp::one();
@@ -377,7 +359,7 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
                     for (size_t j = 0; j < 3; ++j) {
                         f *= wv[j] + beta * plonkCosetShift(j) * xs[i] +
                              gamma;
-                        g *= wv[j] + beta * sig_lde[j][i] + gamma;
+                        g *= wv[j] + beta * lde[5 + j][i] + gamma;
                     }
                     const Fp z_w = z[(i + rot) % big];
                     const Fp perm = z_w * g - z[i] * f;
@@ -386,36 +368,18 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
                            perm * rep_alpha[r][1] +
                            l1_term * rep_alpha[r][2];
                 }
-                combined[i] = acc;
+                combined[i] = acc * z_h_inv[i % rot];
             }
         });
-
-        // Divide by Z_H (nonzero on the coset; only `blowup` distinct
-        // values, invert once each).
-        std::vector<Fp> z_h_inv(
-            z_h.begin(),
-            z_h.begin() + static_cast<std::ptrdiff_t>(
-                              size_t{1} << quotient_blowup_bits));
-        batchInverse(z_h_inv);
-        parallelFor(0, big, /*grain=*/1024, [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i)
-                combined[i] *= z_h_inv[i % z_h_inv.size()];
-        });
     }
-    ctx.record(VecOpKernel{big, static_cast<uint32_t>(8 + 4 * reps), 1,
-                           static_cast<uint32_t>(30 * reps),
-                           /*randomAccessGranularity=*/
-                           static_cast<uint32_t>(8 * 3)},
-               "quotient: gate + permutation constraints");
 
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
-        UNIZK_SPAN("plonk/quotient-intt");
+        KernelScope scope(ctx, KernelClass::Ntt, "plonk/quotient-intt",
+                          NttKernel{log2Exact(big), 1, true, true, false,
+                                    PolyLayout::PolyMajor},
+                          "quotient: iNTT");
         cosetInttNN(combined, shift);
     }
-    ctx.record(NttKernel{log2Exact(big), 1, true, true, false,
-                         PolyLayout::PolyMajor},
-               "quotient: iNTT");
     // Degree must be below 4n by construction.
     std::vector<std::vector<Fp>> chunks(plonkQuotientChunks);
     for (size_t k = 0; k < plonkQuotientChunks; ++k) {
@@ -430,7 +394,7 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
         challenger.observe(digest);
 
     const Fp2 zeta = challenger.challengeExt();
-    record_challenger("zeta");
+    transcript.mark(challenger.permutationCount(), "zeta");
 
     // ---- Openings at zeta and w*zeta. ----
     const std::vector<Fp2> points{zeta, zeta * w};
@@ -438,8 +402,10 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
         key.constants.get(), &wires, &z_batch, &quotient};
     proof.openings.resize(points.size());
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
-        UNIZK_SPAN("plonk/openings");
+        KernelScope scope(
+            ctx, KernelClass::Polynomial, "plonk/openings",
+            VecOpKernel{n, static_cast<uint32_t>(flatPolyCount(reps)), 1, 4, 0},
+            "openings: evaluate at zeta, w*zeta");
         for (size_t j = 0; j < points.size(); ++j) {
             for (const auto *batch : batches) {
                 for (const Fp2 &v : batch->evalAllExt(points[j]))
@@ -447,17 +413,13 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
             }
         }
     }
-    ctx.record(VecOpKernel{n, static_cast<uint32_t>(
-                                  flatPolyCount(reps)),
-                           1, 4, 0},
-               "openings: evaluate at zeta, w*zeta");
     for (const auto &row : proof.openings) {
         for (const Fp2 &v : row) {
             challenger.observe(v.limb(0));
             challenger.observe(v.limb(1));
         }
     }
-    record_challenger("openings");
+    transcript.mark(challenger.permutationCount(), "openings");
 
     // Sanity: the opened values must satisfy the quotient identity.
     {
@@ -478,7 +440,7 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
 
     proof.fri = friProve(batches, points, proof.openings, challenger, cfg,
                          ctx);
-    record_challenger("fri");
+    transcript.mark(challenger.permutationCount(), "fri");
     return proof;
 }
 

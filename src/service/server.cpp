@@ -417,16 +417,19 @@ ProofService::handleRequest(Connection &conn,
         // frame. The future is always fulfilled -- lanes drain the
         // queue even during shutdown. The lane hands back the encoded
         // frame (see Job::promise), so this thread only writes bytes.
+        // Counted before the write, so a client holding its reply
+        // already sees the request in counters().
         const std::vector<uint8_t> response = result.get();
-        if (!writeFrame(fd, response)) {
-            // Client vanished mid-request; the proof is discarded.
-            MutexLock lock(stats_mutex_);
-            counters_.disconnects++;
-            return false;
-        }
         {
             MutexLock lock(stats_mutex_);
             counters_.requestsCompleted++;
+        }
+        if (!writeFrame(fd, response)) {
+            // Client vanished mid-request; the proof is discarded.
+            MutexLock lock(stats_mutex_);
+            counters_.requestsCompleted--;
+            counters_.disconnects++;
+            return false;
         }
         return true;
     }

@@ -109,15 +109,7 @@ starkProve(const StarkAir &air,
     const Fp shift = cfg.shift();
 
     Challenger challenger;
-    size_t hash_mark = 0;
-    auto record_challenger = [&](const char *label) {
-        if (challenger.permutationCount() > hash_mark) {
-            ctx.record(HashKernel{challenger.permutationCount() -
-                                  hash_mark},
-                       std::string("challenger: ") + label);
-            hash_mark = challenger.permutationCount();
-        }
-    };
+    TranscriptHashes transcript(ctx);
 
     StarkProof proof;
     proof.rows = n;
@@ -130,7 +122,7 @@ starkProve(const StarkAir &air,
     for (const auto &digest : trace.cap())
         challenger.observe(digest);
     const Fp alpha = challenger.challenge();
-    record_challenger("alpha");
+    transcript.mark(challenger.permutationCount(), "alpha");
 
     // ---- Quotient on a coset domain covering the constraint degree. --
     const uint32_t q_blowup_bits =
@@ -142,20 +134,23 @@ starkProve(const StarkAir &air,
 
     std::vector<Fp> combined(big, Fp::zero());
     {
-        UNIZK_SPAN("stark/quotient");
-        ScopedKernelTimer ntt_timer(ctx.breakdown, KernelClass::Ntt);
-        std::vector<std::vector<Fp>> trace_coeffs(cols);
-        for (size_t c = 0; c < cols; ++c)
-            trace_coeffs[c] = trace.coefficients(c);
-        const auto lde =
-            ldeBatchNN(std::move(trace_coeffs),
-                       uint32_t{1} << q_blowup_bits, shift);
-        ctx.record(NttKernel{log2Exact(big), cols, false, true, false,
-                             PolyLayout::PolyMajor},
-                   "quotient: trace coset LDEs");
-
-        ScopedKernelTimer poly_timer(ctx.breakdown,
-                                     KernelClass::Polynomial);
+        std::vector<std::vector<Fp>> lde(cols);
+        {
+            KernelScope scope(ctx, KernelClass::Ntt, "stark/quotient-lde",
+                              NttKernel{log2Exact(big), cols, false, true,
+                                        false, PolyLayout::PolyMajor},
+                              "quotient: trace coset LDEs");
+            for (size_t c = 0; c < cols; ++c)
+                lde[c] = trace.coefficients(c);
+            lde = ldeBatchNN(std::move(lde), uint32_t{1} << q_blowup_bits,
+                             shift);
+        }
+        KernelScope scope(
+            ctx, KernelClass::Polynomial, "stark/quotient-eval",
+            VecOpKernel{big, static_cast<uint32_t>(2 * cols), 1,
+                        static_cast<uint32_t>(4 * air.numConstraints() + 8),
+                        static_cast<uint32_t>(8 * cols)},
+            "quotient: transition + boundary constraints");
         const Fp w_big = Fp::primitiveRootOfUnity(log2Exact(big));
         const Fp w_last = w.pow(n - 1);
         const Fp n_fp(static_cast<uint64_t>(n));
@@ -219,20 +214,14 @@ starkProve(const StarkAir &air,
             }
         });
     }
-    ctx.record(VecOpKernel{big, static_cast<uint32_t>(2 * cols), 1,
-                           static_cast<uint32_t>(
-                               4 * air.numConstraints() + 8),
-                           static_cast<uint32_t>(8 * cols)},
-               "quotient: transition + boundary constraints");
 
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
-        UNIZK_SPAN("stark/quotient-intt");
+        KernelScope scope(ctx, KernelClass::Ntt, "stark/quotient-intt",
+                          NttKernel{log2Exact(big), 1, true, true, false,
+                                    PolyLayout::PolyMajor},
+                          "quotient: iNTT");
         cosetInttNN(combined, shift);
     }
-    ctx.record(NttKernel{log2Exact(big), 1, true, true, false,
-                         PolyLayout::PolyMajor},
-               "quotient: iNTT");
     for (size_t i = num_chunks * n; i < big; ++i) {
         unizk_assert(combined[i].isZero(),
                      "quotient degree exceeds chunk budget");
@@ -250,31 +239,30 @@ starkProve(const StarkAir &air,
         challenger.observe(digest);
 
     const Fp2 zeta = challenger.challengeExt();
-    record_challenger("zeta");
+    transcript.mark(challenger.permutationCount(), "zeta");
 
     // ---- Openings and FRI. ----
     const std::vector<Fp2> points{zeta, zeta * w};
     const std::vector<const PolynomialBatch *> batches{&trace, &quotient};
     proof.openings.resize(points.size());
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
-        UNIZK_SPAN("stark/openings");
+        KernelScope scope(
+            ctx, KernelClass::Polynomial, "stark/openings",
+            VecOpKernel{n, static_cast<uint32_t>(cols + num_chunks), 1, 4, 0},
+            "openings: evaluate at zeta, w*zeta");
         for (size_t j = 0; j < points.size(); ++j) {
             for (const auto *batch : batches)
                 for (const Fp2 &v : batch->evalAllExt(points[j]))
                     proof.openings[j].push_back(v);
         }
     }
-    ctx.record(VecOpKernel{n, static_cast<uint32_t>(cols + num_chunks), 1,
-                           4, 0},
-               "openings: evaluate at zeta, w*zeta");
     for (const auto &row : proof.openings) {
         for (const Fp2 &v : row) {
             challenger.observe(v.limb(0));
             challenger.observe(v.limb(1));
         }
     }
-    record_challenger("openings");
+    transcript.mark(challenger.permutationCount(), "openings");
 
     // Sanity check against the verifier's identity.
     {
@@ -293,7 +281,7 @@ starkProve(const StarkAir &air,
 
     proof.fri = friProve(batches, points, proof.openings, challenger, cfg,
                          ctx);
-    record_challenger("fri");
+    transcript.mark(challenger.permutationCount(), "fri");
     return proof;
 }
 

@@ -304,6 +304,41 @@ TEST(ThreadPool, GlobalPoolThreadsFlag)
     setGlobalThreadCount(0); // restore auto for other tests
 }
 
+TEST(ThreadPool, GlobalResizeThenNestedParallelFor)
+{
+    // setGlobalThreadCount() resizes the pool (taking its submit mutex)
+    // and a nested parallelFor takes the submit mutex and then, through
+    // globalThreadPool(), the global-pool mutex. Resizing while holding
+    // the global-pool mutex would invert that order and deadlock when a
+    // resize races a region; the TSAN leg's lock-order checker flags
+    // the cycle from this one-thread sequence.
+    setGlobalThreadCount(2);
+    setGlobalThreadCount(4);
+    EXPECT_EQ(globalThreadPool().threadCount(), 4u);
+    // Workers hold their first chunk until the submitting thread (the
+    // one holding the submit mutex) has taken one, so the nested call
+    // certainly runs under that mutex.
+    const std::thread::id submitter = std::this_thread::get_id();
+    std::atomic<bool> submitter_ran{false};
+    std::vector<std::atomic<uint32_t>> hits(64 * 4);
+    parallelFor(0, 64, 1, [&](size_t lo, size_t hi) {
+        if (std::this_thread::get_id() == submitter)
+            submitter_ran.store(true);
+        while (!submitter_ran.load())
+            std::this_thread::yield();
+        for (size_t i = lo; i < hi; ++i)
+            parallelFor(0, 4, 1, [&, i](size_t lo2, size_t hi2) {
+                for (size_t j = lo2; j < hi2; ++j)
+                    hits[i * 4 + j].fetch_add(1,
+                                              std::memory_order_relaxed);
+            });
+    });
+    for (size_t k = 0; k < hits.size(); ++k)
+        EXPECT_EQ(hits[k].load(), 1u) << "k=" << k;
+
+    setGlobalThreadCount(0); // restore auto for other tests
+}
+
 TEST(ThreadPool, ConcurrentSubmittersSerialize)
 {
     // Two threads submitting parallelFor on the same pool at once used

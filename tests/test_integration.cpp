@@ -89,6 +89,135 @@ TEST(Integration, ProductionParametersRoundTrip)
     EXPECT_TRUE(plonkVerify(key.constants->cap(), *back, cfg));
 }
 
+// Every field of every kernel payload, in declaration order.
+std::vector<uint64_t>
+payloadFields(const NttKernel &k)
+{
+    return {k.logSize, k.batch, k.inverse, k.coset, k.bitrevOutput,
+            static_cast<uint64_t>(k.layout)};
+}
+std::vector<uint64_t>
+payloadFields(const MerkleKernel &k)
+{
+    return {k.leafCount, k.leafLength, k.capHeight};
+}
+std::vector<uint64_t>
+payloadFields(const HashKernel &k)
+{
+    return {k.permutations};
+}
+std::vector<uint64_t>
+payloadFields(const VecOpKernel &k)
+{
+    return {k.length, k.inputVectors, k.outputVectors, k.opsPerElement,
+            k.randomAccessGranularity};
+}
+std::vector<uint64_t>
+payloadFields(const PartialProductKernel &k)
+{
+    return {k.length, k.chunkSize};
+}
+std::vector<uint64_t>
+payloadFields(const TransposeKernel &k)
+{
+    return {k.rows, k.cols};
+}
+std::vector<uint64_t>
+payloadFields(const SumCheckKernel &k)
+{
+    return {k.logSize};
+}
+
+/**
+ * FNV-1a over a canonical encoding of the whole kernel trace: per op
+ * the payload kind, every payload field (little-endian u64) and the
+ * length-prefixed label. Any change to the ops the simulator sees --
+ * order, kind, a field or a label -- changes the fingerprint.
+ */
+uint64_t
+traceFingerprint(const KernelTrace &trace)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    const auto byte = [&h](uint8_t b) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    };
+    const auto word = [&byte](uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    for (const KernelOp &op : trace.ops) {
+        word(op.payload.index());
+        for (const uint64_t f : std::visit(
+                 [](const auto &k) { return payloadFields(k); },
+                 op.payload))
+            word(f);
+        word(op.label.size());
+        for (const char c : op.label)
+            byte(static_cast<uint8_t>(c));
+    }
+    return h;
+}
+
+// Golden pins on the simulator's input. The proofs are byte-identical
+// across thread counts and SIMD levels, so the PoW nonce -- the one
+// data-dependent payload -- is too, and the pins hold everywhere.
+TEST(Integration, PlonkKernelTraceGolden)
+{
+    const FriConfig cfg = FriConfig::testing();
+    TraceRecorder rec;
+    ProverContext ctx;
+    ctx.recorder = &rec;
+    const PlonkApp app = buildPlonkApp(AppId::Factorial, 128, 2);
+    const auto key = plonkSetup(app.circuit, cfg, ctx);
+    plonkProve(app.circuit, key, app.witnesses, cfg, ctx);
+    EXPECT_EQ(rec.trace().size(), 37u);
+    EXPECT_EQ(traceFingerprint(rec.trace()), 16888128077593778043ull);
+}
+
+TEST(Integration, StarkKernelTraceGolden)
+{
+    const FriConfig cfg = FriConfig::testing();
+    TraceRecorder rec;
+    ProverContext ctx;
+    ctx.recorder = &rec;
+    const StarkApp app = buildStarkApp(AppId::Fibonacci, 128);
+    starkProve(*app.air, app.trace, cfg, ctx);
+    EXPECT_EQ(rec.trace().size(), 26u);
+    EXPECT_EQ(traceFingerprint(rec.trace()), 227369989313683983ull);
+}
+
+// Class times come from non-nesting scopes on the proving thread, so
+// together they never exceed the prover's wall time.
+TEST(Integration, PlonkClassTimesFitInsideProveWallTime)
+{
+    const FriConfig cfg = FriConfig::testing();
+    const PlonkApp app = buildPlonkApp(AppId::Factorial, 256, 4);
+    const auto key = plonkSetup(app.circuit, cfg, ProverContext{});
+    KernelTimeBreakdown breakdown;
+    ProverContext ctx;
+    ctx.breakdown = &breakdown;
+    const Stopwatch wall;
+    plonkProve(app.circuit, key, app.witnesses, cfg, ctx);
+    const double wall_s = wall.elapsedSeconds();
+    EXPECT_GT(breakdown.total(), 0.0);
+    EXPECT_LE(breakdown.total(), wall_s);
+}
+
+TEST(Integration, StarkClassTimesFitInsideProveWallTime)
+{
+    const FriConfig cfg = FriConfig::testing();
+    const StarkApp app = buildStarkApp(AppId::Sha256, 256);
+    KernelTimeBreakdown breakdown;
+    ProverContext ctx;
+    ctx.breakdown = &breakdown;
+    const Stopwatch wall;
+    starkProve(*app.air, app.trace, cfg, ctx);
+    const double wall_s = wall.elapsedSeconds();
+    EXPECT_GT(breakdown.total(), 0.0);
+    EXPECT_LE(breakdown.total(), wall_s);
+}
+
 TEST(Integration, StarkyBasePlusRecursiveAggregation)
 {
     // The Table 5 pipeline end to end: Starky base proof (blowup 2)

@@ -460,7 +460,7 @@ TEST(JsonWriter, EscapesControlAndQuoteCharacters)
 
 TEST(KernelTimeBreakdown, ConcurrentAddIsExact)
 {
-    // Regression for the data race ScopedKernelTimer used to cause when
+    // Regression for the data race the class timer used to cause when
     // worker threads timed kernels concurrently; run under TSAN in CI.
     KernelTimeBreakdown b;
     constexpr unsigned kThreads = 8;
@@ -492,6 +492,70 @@ TEST(KernelTimeBreakdown, CopyAndScaleStillWork)
     sum += b;
     sum += half;
     EXPECT_DOUBLE_EQ(sum.total(), 3.0 + 1.5);
+}
+
+TEST_F(ObsTest, KernelScopeFeedsClassTimeSpanAndTrace)
+{
+    SKIP_IF_OBS_DISABLED();
+    KernelTimeBreakdown breakdown;
+    TraceRecorder recorder;
+    ProverContext ctx;
+    ctx.breakdown = &breakdown;
+    ctx.recorder = &recorder;
+    {
+        KernelScope scope(ctx, KernelClass::MerkleTree, "test/kernel",
+                          MerkleKernel{8, 4, 0}, "tree");
+        scope.record(HashKernel{3}, "extra");
+        const Stopwatch busy;
+        while (busy.elapsedSeconds() < 1e-3) {
+        }
+    }
+    EXPECT_GE(breakdown.seconds(KernelClass::MerkleTree), 1e-3);
+    EXPECT_DOUBLE_EQ(breakdown.total(),
+                     breakdown.seconds(KernelClass::MerkleTree));
+    const std::vector<obs::SpanEvent> spans = obs::drainSpans();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_STREQ(spans[0].name, "test/kernel");
+    ASSERT_EQ(recorder.trace().size(), 2u);
+    EXPECT_EQ(recorder.trace().ops[0].label, "tree");
+    EXPECT_STREQ(kernelPayloadName(recorder.trace().ops[1].payload),
+                 "hash");
+
+    // Sequential scopes are fine; a null context records nothing.
+    const ProverContext none;
+    for (const char *name : {"test/a", "test/b"})
+        KernelScope(none, KernelClass::Ntt, name, HashKernel{1}, "x");
+    EXPECT_EQ(recorder.trace().size(), 2u);
+}
+
+TEST(KernelScopeDeathTest, NestedScopeAborts)
+{
+    // Class times are inclusive, so a scope inside another would count
+    // the inner kernel twice; the nesting is rejected outright.
+    const ProverContext ctx;
+    EXPECT_DEATH(
+        {
+            KernelScope outer(ctx, KernelClass::Ntt, "test/outer");
+            KernelScope inner(ctx, KernelClass::Polynomial, "test/inner");
+        },
+        "KernelScope opened inside another KernelScope");
+}
+
+TEST(TranscriptHashes, RecordsPermutationsSincePreviousMark)
+{
+    TraceRecorder recorder;
+    ProverContext ctx;
+    ctx.recorder = &recorder;
+    TranscriptHashes transcript(ctx);
+    transcript.mark(5, "a");
+    transcript.mark(5, "idle"); // nothing new: no op
+    transcript.mark(7, "b");
+    const auto &ops = recorder.trace().ops;
+    ASSERT_EQ(ops.size(), 2u);
+    EXPECT_EQ(ops[0].label, "challenger: a");
+    EXPECT_EQ(std::get<HashKernel>(ops[0].payload).permutations, 5u);
+    EXPECT_EQ(ops[1].label, "challenger: b");
+    EXPECT_EQ(std::get<HashKernel>(ops[1].payload).permutations, 2u);
 }
 
 TEST(ObsExport, StatsJsonGoldenSchema)
@@ -834,8 +898,9 @@ TEST_F(ObsTest, SpanBufferStatsReportOccupancy)
     uint32_t last_tid = 0;
     for (size_t i = 0; i < stats.perThread.size(); ++i) {
         const obs::SpanBufferInfo &info = stats.perThread[i];
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(info.threadId, last_tid);
+        }
         last_tid = info.threadId;
         EXPECT_LE(info.buffered, info.highWater);
         EXPECT_LE(info.highWater, stats.capPerThread);

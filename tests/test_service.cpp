@@ -841,6 +841,29 @@ TEST(Service, ProofMatchesDirectPipeline)
     EXPECT_EQ(svc.runStats()[0].protocol, "plonky2");
 }
 
+TEST(Service, CompletionCountedBeforeReplyArrives)
+{
+    // A request is counted before its reply is written, so a counters()
+    // read taken the moment the client holds the reply already sees it.
+    ServiceConfig cfg;
+    cfg.socketPath = testSocketPath("counted");
+    cfg.proverLanes = 1;
+    ProofService svc(cfg);
+    ASSERT_TRUE(svc.start());
+
+    ServiceClient client(cfg.socketPath);
+    ASSERT_TRUE(client.connected());
+    for (uint64_t i = 1; i <= 3; ++i) {
+        const auto resp = client.prove(smallRequest());
+        ASSERT_TRUE(resp.has_value());
+        ASSERT_EQ(resp->tag, Tag::ProveOk);
+        EXPECT_EQ(svc.counters().requestsCompleted, i);
+    }
+
+    svc.stop();
+    EXPECT_EQ(svc.counters().disconnects, 0u);
+}
+
 TEST(Service, ZeroCapacityQueueRejectsWithQueueFull)
 {
     ServiceConfig cfg;

@@ -364,7 +364,7 @@ class TestRawChrono(LintHarness):
         self.assert_clean(
             "src/plonk/timing.cpp",
             "Stopwatch sw;\n"
-            "ScopedKernelTimer timer(breakdown, KernelClass::Ntt);\n",
+            "KernelScope scope(ctx, KernelClass::Ntt, \"ntt/x\");\n",
         )
 
     def test_chrono_in_comment_is_fine(self):

@@ -28,8 +28,9 @@ codebase's proof-soundness and determinism contracts:
                     field arithmetic is exact; a stray floating-point
                     intermediate destroys soundness silently.
   raw-chrono        No raw std::chrono timing in prover/kernel paths:
-                    all timing goes through common/stats.h (Stopwatch /
-                    ScopedKernelTimer) or obs spans (UNIZK_SPAN), so
+                    all timing goes through Stopwatch (common/stats.h),
+                    KernelScope (trace/prover_context.h) or obs spans
+                    (UNIZK_SPAN), so
                     instrumentation stays centralized, thread-safe, and
                     can be compiled out (UNIZK_DISABLE_OBS).
   raw-simd-intrinsic
@@ -419,9 +420,10 @@ RULES: Tuple[Rule, ...] = (
         summary="raw std::chrono timing in prover/kernel paths",
         message=(
             "raw std::chrono timing in a prover/kernel path; time through "
-            "Stopwatch/ScopedKernelTimer (common/stats.h) or obs spans "
-            "(UNIZK_SPAN from obs/obs.h) so timing stays centralized, "
-            "thread-safe, and compilable-out"
+            "Stopwatch (common/stats.h), KernelScope "
+            "(trace/prover_context.h) or obs spans (UNIZK_SPAN from "
+            "obs/obs.h) so timing stays centralized, thread-safe, and "
+            "compilable-out"
         ),
         pattern=re.compile(
             r"\bstd::chrono\b"

@@ -9,8 +9,8 @@
 #include "common/stats.h"
 #include "common/sync.h"
 #include "obs/json_writer.h"
-#include "obs/obs.h"
 #include "service/client.h"
+#include "unizk/pipeline.h"
 
 namespace unizk {
 namespace load {
@@ -37,6 +37,20 @@ struct RunState
     uint64_t breakdownViolations UNIZK_GUARDED_BY(mutex) = 0;
 };
 
+/** A request's ReferenceProofs key: its untraced wire encoding. */
+std::vector<uint8_t>
+referenceKey(service::ProveRequest req)
+{
+    req.traceId = 0;
+    return service::encodeProveRequest(req);
+}
+
+uint64_t
+elapsedNs(const Stopwatch &clock)
+{
+    return static_cast<uint64_t>(clock.elapsedSeconds() * 1e9);
+}
+
 size_t
 mixIndexOf(const Scenario &scenario,
            const service::ProveRequest &req)
@@ -51,20 +65,19 @@ mixIndexOf(const Scenario &scenario,
 
 /**
  * Issue one scheduled request on @p client and fold the outcome into
- * @p state. Returns false when the transport died (the caller's
- * connection is unusable afterwards).
+ * @p state. @p lag_ns is how long after its due time the request is
+ * sent. Returns false when the transport died (the caller's connection
+ * is unusable afterwards).
  */
 bool
 issueOne(ServiceClient &client, const Scenario &scenario,
-         const LoadRequest &item, const Stopwatch &run_clock,
-         RunState &state)
+         const RunOptions &opts, const LoadRequest &item,
+         uint64_t lag_ns, const Stopwatch &run_clock, RunState &state)
 {
     const Stopwatch request_clock;
     const auto resp = client.prove(item.request);
-    const uint64_t latency_ns = static_cast<uint64_t>(
-        request_clock.elapsedSeconds() * 1e9);
-    const uint64_t t_ns =
-        static_cast<uint64_t>(run_clock.elapsedSeconds() * 1e9);
+    const uint64_t client_ns = elapsedNs(request_clock);
+    const uint64_t t_ns = elapsedNs(run_clock);
 
     if (!resp) {
         MutexLock lock(state.mutex);
@@ -89,45 +102,44 @@ issueOne(ServiceClient &client, const Scenario &scenario,
         }
         return true;
     }
-    if (resp->tag != Tag::ProveOk ||
-        (item.request.verify && !resp->prove.verified)) {
+    const service::ProveResponse &p = resp->prove;
+    bool failed = resp->tag != Tag::ProveOk ||
+                  (item.request.verify && !p.verified);
+    if (!failed && !opts.references.empty()) {
+        const auto ref =
+            opts.references.find(referenceKey(item.request));
+        if (ref == opts.references.end() || ref->second != p.proof) {
+            warn("unizk_load: --check: trace ", item.request.traceId,
+                 " proof differs from the in-process reference");
+            failed = true;
+        }
+    }
+    if (failed) {
         MutexLock lock(state.mutex);
         state.errors += 1;
         return true;
     }
 
-    UNIZK_OBS_HISTO("load.request_latency_ns", latency_ns);
+    RequestSample sample;
+    sample.traceId = item.request.traceId;
+    sample.laneId = p.laneId;
+    sample.lagNs = lag_ns;
+    sample.clientNs = client_ns;
+    sample.serverNs = p.latencyNs;
+    sample.queuedNs = p.queuedNs;
+    sample.proveNs = p.proveNs;
+    sample.serializeNs = p.serializeNs;
     MutexLock lock(state.mutex);
     state.ok += 1;
-    state.queueDepth.push_back({t_ns, resp->prove.queueDepth});
+    state.queueDepth.push_back({t_ns, p.queueDepth});
     state.perApp[mixIndexOf(scenario, item.request)] += 1;
-    const service::ProveResponse &p = resp->prove;
-    if (p.hasServerTiming) {
-        RequestSample sample;
-        sample.traceId = p.traceId;
-        sample.laneId = p.laneId;
-        sample.clientNs = latency_ns;
-        sample.serverNs = p.latencyNs;
-        sample.queuedNs = p.queuedNs;
-        sample.proveNs = p.proveNs;
-        sample.serializeNs = p.serializeNs;
-        state.samples.push_back(sample);
-        if (p.traceId != item.request.traceId ||
-            p.queuedNs + p.proveNs + p.serializeNs > p.latencyNs ||
-            p.latencyNs > latency_ns) {
-            state.breakdownViolations += 1;
-        }
+    state.samples.push_back(sample);
+    if (!p.hasServerTiming || p.traceId != item.request.traceId ||
+        p.queuedNs + p.proveNs + p.serializeNs > p.latencyNs ||
+        p.latencyNs > client_ns) {
+        state.breakdownViolations += 1;
     }
     return true;
-}
-
-void
-chargeSkipped(RunState &state, uint64_t skipped)
-{
-    if (skipped > 0) {
-        MutexLock lock(state.mutex);
-        state.errors += skipped;
-    }
 }
 
 /** Closed-loop worker: the round-robin slice of one connection. */
@@ -145,17 +157,18 @@ runClosedConnection(const Scenario &scenario,
     if (mine.empty())
         return;
 
+    // A failed connection strands the rest of its slice; runScenario
+    // charges every unaccounted entry as an error.
     ServiceClient client(opts.socketPath);
     if (!client.connected()) {
         warn("unizk_load: connection ", conn_index, " failed");
-        chargeSkipped(state, mine.size());
         return;
     }
-    for (size_t i = 0; i < mine.size(); ++i) {
-        if (!issueOne(client, scenario, *mine[i], run_clock, state)) {
-            chargeSkipped(state, mine.size() - i - 1);
+    for (const LoadRequest *item : mine) {
+        // Due when the previous response landed, i.e. now: no lag.
+        if (!issueOne(client, scenario, opts, *item, 0, run_clock,
+                      state))
             return;
-        }
     }
 }
 
@@ -181,29 +194,77 @@ runOpenWorker(const Scenario &scenario, const Schedule &schedule,
         if (i >= schedule.requests.size())
             return;
         const LoadRequest &item = schedule.requests[i];
-        const uint64_t now_ns = static_cast<uint64_t>(
-            run_clock.elapsedSeconds() * 1e9);
+        uint64_t now_ns = elapsedNs(run_clock);
         if (item.arrivalNs > now_ns) {
             std::this_thread::sleep_for(
                 std::chrono::nanoseconds(item.arrivalNs - now_ns));
+            now_ns = elapsedNs(run_clock);
         }
-        if (!issueOne(client, scenario, item, run_clock, state)) {
+        // Late by however long every worker was busy (plus any sleep
+        // overshoot): that wait is part of this request's latency.
+        const uint64_t lag_ns =
+            now_ns > item.arrivalNs ? now_ns - item.arrivalNs : 0;
+        if (!issueOne(client, scenario, opts, item, lag_ns, run_clock,
+                      state)) {
             // This entry is already charged; put no others at risk.
             return;
         }
     }
 }
 
+/** Nearest-rank @p percent quantile of sorted, non-empty @p v. */
+uint64_t
+nearestRank(const std::vector<uint64_t> &v, uint64_t percent)
+{
+    const uint64_t n = v.size();
+    const uint64_t rank = std::max<uint64_t>(1, (percent * n + 99) / 100);
+    return v[rank - 1];
+}
+
 } // namespace
+
+ReferenceProofs
+referenceProofs(const Schedule &schedule)
+{
+    ReferenceProofs refs;
+    for (const LoadRequest &item : schedule.requests) {
+        std::vector<uint8_t> key = referenceKey(item.request);
+        if (refs.count(key) == 0) {
+            refs.emplace(std::move(key),
+                         service::proveRequest(item.request).proofBlob);
+        }
+    }
+    return refs;
+}
+
+LatencySummary
+summarizeLatency(const std::vector<RequestSample> &samples)
+{
+    LatencySummary out;
+    if (samples.empty())
+        return out;
+    std::vector<uint64_t> ns;
+    ns.reserve(samples.size());
+    double sum = 0.0;
+    for (const RequestSample &s : samples) {
+        ns.push_back(s.latencyNs());
+        sum += static_cast<double>(s.latencyNs());
+    }
+    std::sort(ns.begin(), ns.end());
+    out.count = ns.size();
+    out.minNs = ns.front();
+    out.maxNs = ns.back();
+    out.meanNs = sum / static_cast<double>(ns.size());
+    out.p50Ns = static_cast<double>(nearestRank(ns, 50));
+    out.p90Ns = static_cast<double>(nearestRank(ns, 90));
+    out.p99Ns = static_cast<double>(nearestRank(ns, 99));
+    return out;
+}
 
 RunReport
 runScenario(const Scenario &scenario, const Schedule &schedule,
             const RunOptions &opts)
 {
-    // A fresh capture window: the latency histogram and percentiles
-    // below describe exactly this schedule, not earlier runs or setup.
-    obs::resetForMeasurement();
-
     RunState state;
     {
         MutexLock lock(state.mutex);
@@ -211,25 +272,18 @@ runScenario(const Scenario &scenario, const Schedule &schedule,
     }
     const Stopwatch run_clock;
 
+    std::atomic<size_t> cursor{0}; // open loop only
     std::vector<std::thread> workers;
-    if (scenario.arrival == Arrival::ClosedLoop) {
-        for (uint32_t c = 0; c < scenario.connections; ++c) {
-            workers.emplace_back([&, c] {
+    for (uint32_t c = 0; c < scenario.connections; ++c) {
+        workers.emplace_back([&, c] {
+            if (scenario.arrival == Arrival::ClosedLoop) {
                 runClosedConnection(scenario, schedule, opts, c,
                                     run_clock, state);
-            });
-        }
-    } else {
-        std::atomic<size_t> cursor{0};
-        for (uint64_t c = 0; c < scenario.connections; ++c) {
-            workers.emplace_back([&] {
+            } else {
                 runOpenWorker(scenario, schedule, opts, cursor,
                               run_clock, state);
-            });
-        }
-        for (auto &w : workers)
-            w.join();
-        workers.clear();
+            }
+        });
     }
     for (auto &w : workers)
         w.join();
@@ -254,8 +308,9 @@ runScenario(const Scenario &scenario, const Schedule &schedule,
             report.perApp.push_back(entry);
         }
     }
-    // Dead open-loop workers leave unpulled entries behind; keep the
-    // every-entry-accounted invariant by charging them as errors.
+    // Dead connections leave entries behind (the rest of a closed-loop
+    // slice, or unpulled open-loop entries); keep the every-entry-
+    // accounted invariant by charging them as errors.
     const uint64_t accounted = report.ok + report.queueFull +
                                report.shuttingDown + report.errors;
     unizk_assert(accounted <= report.issued,
@@ -275,19 +330,7 @@ runScenario(const Scenario &scenario, const Schedule &schedule,
             static_cast<double>(report.ok) / report.elapsedSeconds;
     }
 
-    const auto histos = obs::histogramSnapshot();
-    const auto it = histos.find("load.request_latency_ns");
-    if (it != histos.end() && it->second.count > 0) {
-        const obs::HistogramData &h = it->second;
-        report.latency.count = h.count;
-        report.latency.minNs = h.min;
-        report.latency.maxNs = h.max;
-        report.latency.meanNs = static_cast<double>(h.sum) /
-                                static_cast<double>(h.count);
-        report.latency.p50Ns = obs::histogramQuantile(h, 0.5);
-        report.latency.p90Ns = obs::histogramQuantile(h, 0.9);
-        report.latency.p99Ns = obs::histogramQuantile(h, 0.99);
-    }
+    report.latency = summarizeLatency(report.samples);
     return report;
 }
 
@@ -347,41 +390,34 @@ reportToJson(const Scenario &scenario, uint64_t seed,
     w.endObject();
 
     // Client-observed vs server-observed latency. Means first, then
-    // one entry per traced ok response so the schema validator can
-    // re-check the per-request inequality chain.
+    // one entry per ok response so the schema validator can re-check
+    // the per-request inequality chain and recompute latencyNs.
     w.key("breakdown").beginObject();
     w.kv("traced", static_cast<uint64_t>(report.samples.size()));
     w.kv("violations", report.breakdownViolations);
     if (!report.samples.empty()) {
-        uint64_t sum_client = 0;
-        uint64_t sum_server = 0;
-        uint64_t sum_queued = 0;
-        uint64_t sum_prove = 0;
-        uint64_t sum_serialize = 0;
-        for (const RequestSample &s : report.samples) {
-            sum_client += s.clientNs;
-            sum_server += s.serverNs;
-            sum_queued += s.queuedNs;
-            sum_prove += s.proveNs;
-            sum_serialize += s.serializeNs;
-        }
+        const auto sum = [&](uint64_t RequestSample::*field) {
+            uint64_t total = 0;
+            for (const RequestSample &s : report.samples)
+                total += s.*field;
+            return static_cast<double>(total);
+        };
         const double n = static_cast<double>(report.samples.size());
-        w.kv("meanClientNs", static_cast<double>(sum_client) / n);
-        w.kv("meanServerNs", static_cast<double>(sum_server) / n);
-        w.kv("meanQueuedNs", static_cast<double>(sum_queued) / n);
-        w.kv("meanProveNs", static_cast<double>(sum_prove) / n);
-        w.kv("meanSerializeNs",
-             static_cast<double>(sum_serialize) / n);
-        w.kv("meanResidualNs",
-             (static_cast<double>(sum_client) -
-              static_cast<double>(sum_server)) /
-                 n);
+        w.kv("meanClientNs", sum(&RequestSample::clientNs) / n);
+        w.kv("meanServerNs", sum(&RequestSample::serverNs) / n);
+        w.kv("meanQueuedNs", sum(&RequestSample::queuedNs) / n);
+        w.kv("meanProveNs", sum(&RequestSample::proveNs) / n);
+        w.kv("meanSerializeNs", sum(&RequestSample::serializeNs) / n);
+        w.kv("meanResidualNs", (sum(&RequestSample::clientNs) -
+                                sum(&RequestSample::serverNs)) /
+                                   n);
     }
     w.key("samples").beginArray();
     for (const RequestSample &s : report.samples) {
         w.beginObject();
         w.kv("traceId", s.traceId);
         w.kv("laneId", s.laneId);
+        w.kv("lagNs", s.lagNs);
         w.kv("clientNs", s.clientNs);
         w.kv("serverNs", s.serverNs);
         w.kv("queuedNs", s.queuedNs);

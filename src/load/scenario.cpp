@@ -69,9 +69,8 @@ makeEntry(service::WireProtocol protocol, AppId app, uint64_t weight,
 }
 
 /**
- * The shared small-shape Plonky2/Starky mix (the same app cycle the
- * unizk_client injector uses, here with weighted draws and a size
- * range). Shapes stay sub-second so smoke runs are cheap.
+ * The shared small-shape Plonky2/Starky mix, with weighted draws and
+ * a size range. Shapes stay sub-second so smoke runs are cheap.
  */
 std::vector<MixEntry>
 smallMixedWorkload()

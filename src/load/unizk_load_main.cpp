@@ -1,10 +1,12 @@
 /**
  * @file
- * unizk_load: YCSB-style traffic generator for the unizkd service.
+ * unizk_load: YCSB-style traffic generator and driver for the unizkd
+ * service.
  *
  *   unizk_load --socket /tmp/unizkd.sock --scenario uniform-closed \
  *              [--seed N] [--requests N] [--connections N] \
  *              [--rate RPS] [--theta T] [--keyspace N] \
+ *              [--check] [--shutdown] \
  *              [--report FILE] [--schedule-out FILE] [--dry-run] \
  *              [--list-scenarios] [--threads N]
  *
@@ -17,8 +19,15 @@
  * after generation and prints the schedule fingerprint, which is how
  * the load smoke asserts seed-determinism without a daemon.
  *
- * Exits 0 iff every issued request was answered without a transport or
- * protocol error; queue-full / shutting-down rejections are expected
+ * --check proves every distinct request shape of the schedule
+ * in-process (service::proveRequest, the unizk_cli path) before load
+ * starts, and charges any served proof that is not byte-equal to its
+ * reference as an error. --shutdown sends the protocol Shutdown frame
+ * once the run is over, so the daemon drains and exits.
+ *
+ * Exits 0 iff every issued request was answered without a transport,
+ * protocol or --check error and --shutdown (if given) was
+ * acknowledged; queue-full / shutting-down rejections are expected
  * backpressure and never fail the run.
  */
 
@@ -32,7 +41,7 @@
 #include "load/runner.h"
 #include "load/scenario.h"
 #include "obs/json_writer.h"
-#include "obs/obs.h"
+#include "service/client.h"
 
 namespace {
 
@@ -109,12 +118,13 @@ main(int argc, char **argv)
     if (cli.has("dry-run"))
         return 0;
 
-    // The latency percentiles in the report come from the obs
-    // histograms, so observability is always on in the generator.
-    obs::setEnabled(true);
-
     load::RunOptions opts;
     opts.socketPath = cli.getString("socket", "unizkd.sock");
+    if (cli.has("check")) {
+        opts.references = load::referenceProofs(schedule);
+        std::printf("unizk_load: check: %zu reference proofs\n",
+                    opts.references.size());
+    }
     const load::RunReport report =
         load::runScenario(scenario, schedule, opts);
 
@@ -142,5 +152,16 @@ main(int argc, char **argv)
                     report.breakdownViolations));
     // A breakdown violation means the daemon's timing decomposition
     // contradicted itself (or our clock): fail loudly.
-    return (report.errors || report.breakdownViolations) ? 1 : 0;
+    bool failed = report.errors || report.breakdownViolations;
+    if (cli.has("shutdown")) {
+        service::ServiceClient client(opts.socketPath);
+        const auto resp = client.shutdownServer();
+        if (resp && resp->tag == service::Tag::ShutdownAck) {
+            std::printf("unizk_load: server acknowledged shutdown\n");
+        } else {
+            warn("unizk_load: shutdown not acknowledged");
+            failed = true;
+        }
+    }
+    return failed ? 1 : 0;
 }

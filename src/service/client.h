@@ -2,8 +2,8 @@
  * @file
  * Synchronous client for the unizkd proving service. One ServiceClient
  * owns one connection and issues closed-loop requests: send a frame,
- * block for the response frame, decode. Used by the unizk_client load
- * injector and by tests.
+ * block for the response frame, decode. Used by the unizk_load traffic
+ * generator, unizk_top and tests.
  */
 
 #ifndef UNIZK_SERVICE_CLIENT_H

@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include "serialize/bytes.h"
+#include "unizk/pipeline.h"
 
 namespace unizk {
 namespace service {
@@ -107,6 +108,18 @@ size_t
 requestReps(const ProveRequest &req)
 {
     return req.reps ? req.reps : defaultParams(req.app).repetitions;
+}
+
+AppRunResult
+proveRequest(const ProveRequest &req)
+{
+    const FriConfig cfg = requestFriConfig(req);
+    const HardwareConfig hw = HardwareConfig::paperDefault();
+    return req.protocol == WireProtocol::Plonky2
+               ? runPlonky2App(req.app, requestRows(req),
+                               requestReps(req), cfg, hw, req.verify)
+               : runStarkyApp(req.app, requestRows(req), cfg, hw,
+                              req.verify);
 }
 
 const char *

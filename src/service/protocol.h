@@ -30,6 +30,9 @@
 #include "workloads/apps.h"
 
 namespace unizk {
+
+struct AppRunResult;
+
 namespace service {
 
 /** Hard ceilings on frame payload sizes, checked before allocating. */
@@ -190,13 +193,18 @@ constexpr uint64_t kMaxRequestReps = 128;
 
 /**
  * Resolve a request to concrete prover inputs, mirroring unizk_cli's
- * --fast and default-shape handling. Server lanes and the client's
- * --check verification both use these, which is what makes service
- * proofs byte-identical to the direct CLI path.
+ * --fast and default-shape handling.
  */
 FriConfig requestFriConfig(const ProveRequest &req);
 size_t requestRows(const ProveRequest &req);
 size_t requestReps(const ProveRequest &req);
+
+/**
+ * Prove @p req through the in-process pipeline (the unizk_cli path).
+ * Server lanes and unizk_load --check both call this, which is what
+ * makes service proofs byte-identical to the direct CLI path.
+ */
+AppRunResult proveRequest(const ProveRequest &req);
 
 /** Emits Tag::Prove when req.traceId == 0, Tag::ProveV2 otherwise. */
 std::vector<uint8_t> encodeProveRequest(const ProveRequest &req);

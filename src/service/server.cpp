@@ -463,18 +463,8 @@ ProofService::proverLane(unsigned lane_id)
         {
             UNIZK_SPAN("service/request");
 
-            const FriConfig cfg = requestFriConfig(req);
-            const HardwareConfig hw = HardwareConfig::paperDefault();
-            const size_t rows = requestRows(req);
-            const size_t reps = requestReps(req);
-
             const Stopwatch proving;
-            const AppRunResult result =
-                req.protocol == WireProtocol::Plonky2
-                    ? runPlonky2App(req.app, rows, reps, cfg, hw,
-                                    req.verify)
-                    : runStarkyApp(req.app, rows, cfg, hw,
-                                   req.verify);
+            const AppRunResult result = proveRequest(req);
             const uint64_t prove_ns = static_cast<uint64_t>(
                 proving.elapsedSeconds() * 1e9);
 

@@ -5,12 +5,14 @@
  * distribution shape of the samplers (uniform/zipfian key ratios and
  * Poisson interarrival mean within tolerance over large draws),
  * per-key request-shape stability, strict scenario-file parsing
- * (every misparse is fatal, never a silent default), and an
- * in-process end-to-end run against a live ProofService.
+ * (every misparse is fatal, never a silent default), exact latency
+ * order statistics, and in-process end-to-end runs against a live
+ * ProofService (closed and open loop, open-loop lateness, --check).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -22,7 +24,6 @@
 #include "load/generator.h"
 #include "load/runner.h"
 #include "load/scenario.h"
-#include "obs/obs.h"
 #include "service/server.h"
 
 namespace unizk {
@@ -350,7 +351,6 @@ TEST(ScenarioFileDeathTest, MissingFileIsFatal)
 
 TEST(LoadRunner, ClosedLoopAgainstLiveService)
 {
-    obs::setEnabled(true);
     const std::string socket = testSocketPath("closed");
     service::ServiceConfig cfg;
     cfg.socketPath = socket;
@@ -376,6 +376,8 @@ TEST(LoadRunner, ClosedLoopAgainstLiveService)
     EXPECT_EQ(report.latency.count, report.ok);
     EXPECT_GT(report.latency.p50Ns, 0.0);
     EXPECT_LE(report.latency.p50Ns, report.latency.p99Ns);
+    EXPECT_LE(report.latency.p99Ns,
+              static_cast<double>(report.latency.maxNs));
     EXPECT_EQ(report.queueDepth.size(), report.ok);
     uint64_t per_app_sum = 0;
     for (const PerAppCount &p : report.perApp)
@@ -399,6 +401,8 @@ TEST(LoadRunner, ClosedLoopAgainstLiveService)
                       sample.serializeNs,
                   sample.serverNs);
         EXPECT_LE(sample.serverNs, sample.clientNs);
+        // Closed loop: each request is due when it is sent.
+        EXPECT_EQ(sample.lagNs, 0u);
     }
 
     const std::string json = reportToJson(s, 3, report);
@@ -411,7 +415,6 @@ TEST(LoadRunner, ClosedLoopAgainstLiveService)
 
 TEST(LoadRunner, OpenLoopAgainstLiveService)
 {
-    obs::setEnabled(true);
     const std::string socket = testSocketPath("open");
     service::ServiceConfig cfg;
     cfg.socketPath = socket;
@@ -439,6 +442,140 @@ TEST(LoadRunner, OpenLoopAgainstLiveService)
     // Open-loop runs trace end to end too.
     EXPECT_EQ(report.samples.size(), report.ok);
     EXPECT_EQ(report.breakdownViolations, 0u);
+}
+
+TEST(LoadRunner, OpenLoopLatencyIncludesWaitForABusyWorker)
+{
+    // One connection, one lane, every arrival due at t ~ 0: request k
+    // is sent only after requests 0..k-1 came back, so its latency
+    // (due -> response) covers their proving too. Timing from the send
+    // instead would hide that wait (coordinated omission).
+    const std::string socket = testSocketPath("late");
+    service::ServiceConfig cfg;
+    cfg.socketPath = socket;
+    cfg.queueCapacity = 8;
+    cfg.proverLanes = 1;
+    service::ProofService svc(cfg);
+    ASSERT_TRUE(svc.start());
+
+    Scenario s = tinyScenario();
+    s.arrival = Arrival::OpenPoisson;
+    s.openRateRps = 1e9; // all four arrivals within a few ns of 0
+    s.connections = 1;
+    const Schedule sched = buildSchedule(s, 3);
+    RunOptions opts;
+    opts.socketPath = socket;
+    const RunReport report = runScenario(s, sched, opts);
+    svc.stop();
+
+    ASSERT_EQ(report.ok, s.requests);
+    ASSERT_EQ(report.samples.size(), report.ok);
+    uint64_t prove_sum = 0;
+    uint64_t prove_max = 0;
+    for (const RequestSample &sample : report.samples) {
+        prove_sum += sample.proveNs;
+        prove_max = std::max(prove_max, sample.proveNs);
+    }
+    // The last request waited for every other one, and each of those
+    // took at least its proveNs.
+    EXPECT_GE(report.latency.maxNs, prove_sum - prove_max);
+}
+
+// ---------------------------------------------------------------------
+// Exact latency order statistics.
+
+TEST(LatencySummary, NearestRankOverLagPlusClientTime)
+{
+    EXPECT_EQ(summarizeLatency({}).count, 0u);
+
+    std::vector<RequestSample> samples;
+    for (uint64_t v = 100; v >= 1; --v) { // unsorted on purpose
+        RequestSample sample;
+        sample.lagNs = v % 2;
+        sample.clientNs = v - sample.lagNs;
+        samples.push_back(sample);
+    }
+    const LatencySummary lat = summarizeLatency(samples);
+    EXPECT_EQ(lat.count, 100u);
+    EXPECT_EQ(lat.minNs, 1u);
+    EXPECT_EQ(lat.maxNs, 100u);
+    EXPECT_DOUBLE_EQ(lat.meanNs, 50.5);
+    EXPECT_DOUBLE_EQ(lat.p50Ns, 50.0);
+    EXPECT_DOUBLE_EQ(lat.p90Ns, 90.0);
+    EXPECT_DOUBLE_EQ(lat.p99Ns, 99.0);
+
+    // A single sample is every quantile.
+    const LatencySummary one = summarizeLatency({samples[7]});
+    EXPECT_EQ(one.count, 1u);
+    EXPECT_DOUBLE_EQ(one.p50Ns, static_cast<double>(one.minNs));
+    EXPECT_DOUBLE_EQ(one.p99Ns, static_cast<double>(one.maxNs));
+}
+
+// ---------------------------------------------------------------------
+// --check: served proofs against in-process references.
+
+TEST(LoadRunner, CheckAcceptsServedProofsOfBothProtocols)
+{
+    const std::string socket = testSocketPath("check");
+    service::ServiceConfig cfg;
+    cfg.socketPath = socket;
+    cfg.queueCapacity = 8;
+    cfg.proverLanes = 2;
+    service::ProofService svc(cfg);
+    ASSERT_TRUE(svc.start());
+
+    Scenario s = tinyScenario();
+    MixEntry stark;
+    stark.protocol = service::WireProtocol::Starky;
+    stark.app = AppId::Fibonacci;
+    stark.weight = 1;
+    stark.minRows = 64;
+    stark.maxRows = 64;
+    stark.reps = 0;
+    s.mix.push_back(stark);
+    s.requests = 6;
+    const Schedule sched = buildSchedule(s, 3);
+    RunOptions opts;
+    opts.socketPath = socket;
+    opts.references = referenceProofs(sched);
+    const RunReport report = runScenario(s, sched, opts);
+    svc.stop();
+
+    EXPECT_EQ(opts.references.size(), 2u); // one per distinct shape
+    EXPECT_EQ(report.ok, s.requests);
+    EXPECT_EQ(report.errors, 0u);
+    for (const PerAppCount &p : report.perApp)
+        EXPECT_GT(p.count, 0u) << appToken(p.app);
+}
+
+TEST(LoadRunner, CheckChargesAMismatchedProofAsAnError)
+{
+    const std::string socket = testSocketPath("check-bad");
+    service::ServiceConfig cfg;
+    cfg.socketPath = socket;
+    cfg.queueCapacity = 8;
+    cfg.proverLanes = 1;
+    service::ProofService svc(cfg);
+    ASSERT_TRUE(svc.start());
+
+    Scenario s = tinyScenario(); // a single request shape
+    const Schedule sched = buildSchedule(s, 3);
+    RunOptions opts;
+    opts.socketPath = socket;
+    opts.references = referenceProofs(sched);
+    ASSERT_EQ(opts.references.size(), 1u);
+    std::vector<uint8_t> &proof = opts.references.begin()->second;
+    ASSERT_FALSE(proof.empty());
+    proof[proof.size() / 2] ^= 0x01;
+    const RunReport report = runScenario(s, sched, opts);
+    svc.stop();
+
+    EXPECT_EQ(report.ok, 0u);
+    EXPECT_EQ(report.errors, s.requests);
+    EXPECT_EQ(report.ok + report.queueFull + report.shuttingDown +
+                  report.errors,
+              report.issued);
+    EXPECT_EQ(report.latency.count, 0u);
 }
 
 TEST(LoadRunner, DeadSocketChargesErrorsNotSilence)

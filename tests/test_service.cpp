@@ -1034,6 +1034,10 @@ TEST(Service, FourConcurrentClientsMixedWorkload)
     const AppRunResult starkDirect = runStarkyApp(
         stark.app, requestRows(stark), requestFriConfig(stark),
         HardwareConfig::paperDefault(), true);
+    // The one prove dispatch (server lanes, unizk_load --check) is the
+    // direct pipeline, byte for byte, for either protocol.
+    EXPECT_EQ(proveRequest(plonk).proofBlob, plonkDirect.proofBlob);
+    EXPECT_EQ(proveRequest(stark).proofBlob, starkDirect.proofBlob);
 
     ServiceConfig cfg;
     cfg.socketPath = testSocketPath("concurrent");

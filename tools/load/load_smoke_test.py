@@ -109,6 +109,15 @@ def misparse_leg(load: str, workdir: str) -> None:
     print("load_smoke: misparse leg OK")
 
 
+def parse_summary(out: str, what: str) -> dict:
+    """The outcome tally from unizk_load's summary line."""
+    match = SUMMARY_RE.search(out)
+    if not match:
+        raise SystemExit(f"{what}: unizk_load printed no summary line")
+    keys = ("ok", "queue_full", "shutting_down", "errors")
+    return dict(zip(keys, (int(g) for g in match.groups())))
+
+
 def wait_for_socket(path: str, daemon: subprocess.Popen) -> None:
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
@@ -121,6 +130,21 @@ def wait_for_socket(path: str, daemon: subprocess.Popen) -> None:
     raise SystemExit(f"unizkd never created {path}")
 
 
+def stop_daemon(daemon: subprocess.Popen, sock: str, how: str) -> None:
+    """Wait for a daemon told to stop (by @p how) to drain cleanly."""
+    try:
+        out, _ = daemon.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        daemon.kill()
+        raise SystemExit(f"unizkd did not drain after {how}")
+    print(out, end="")
+    if daemon.returncode != 0:
+        raise SystemExit(
+            f"unizkd exited with {daemon.returncode} after {how}")
+    if os.path.exists(sock):
+        raise SystemExit(f"unizkd leaked its socket file {sock}")
+
+
 def run_scenario(load: str, sock: str, workdir: str, name: str,
                  extra: list) -> None:
     report = os.path.join(workdir, f"report-{name}.json")
@@ -128,15 +152,10 @@ def run_scenario(load: str, sock: str, workdir: str, name: str,
         "--socket", sock, "--scenario", name, "--seed", "1",
         "--requests", "6", "--connections", "2", "--report", report,
     ] + extra)
-    match = SUMMARY_RE.search(out)
-    if not match:
-        raise SystemExit(f"{name}: unizk_load printed no summary line")
-    ok, queue_full, shutting_down, errors = (int(g)
-                                             for g in match.groups())
-    if ok != 6 or queue_full or shutting_down or errors:
-        raise SystemExit(
-            f"{name}: bad tally ok={ok} queue_full={queue_full} "
-            f"shutting_down={shutting_down} errors={errors}")
+    tally = parse_summary(out, name)
+    if tally != {"ok": 6, "queue_full": 0, "shutting_down": 0,
+                 "errors": 0}:
+        raise SystemExit(f"{name}: bad tally {tally}")
     failures = validate_load_json.validate_file(report)
     if failures:
         raise SystemExit("\n".join(failures))
@@ -166,17 +185,7 @@ def live_leg(unizkd: str, load: str, workdir: str) -> None:
         run_scenario(load, sock, workdir, "poisson-open",
                      ["--rate", "50"])
         daemon.send_signal(signal.SIGTERM)
-        try:
-            out, _ = daemon.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            daemon.kill()
-            raise SystemExit("unizkd did not drain after SIGTERM")
-        print(out, end="")
-        if daemon.returncode != 0:
-            raise SystemExit(
-                f"unizkd exited with {daemon.returncode} after SIGTERM")
-        if os.path.exists(sock):
-            raise SystemExit(f"unizkd leaked its socket file {sock}")
+        stop_daemon(daemon, sock, "SIGTERM")
     finally:
         if daemon.poll() is None:
             daemon.kill()

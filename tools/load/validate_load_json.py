@@ -3,21 +3,21 @@
 
 Validates the JSON report unizk_load writes with --report: the scenario
 echo (name, arrival/skew model, seed, mix) and the results block
-(outcome accounting, throughput, latency percentiles from the obs
-log2-bucket histograms, queue-depth-over-time samples, per-app counts).
+(outcome accounting, throughput, exact latency order statistics,
+queue-depth-over-time samples, per-app counts).
 
 Cross-field invariants checked, matching the runner's accounting
 (src/load/runner.cpp; update this validator and that together):
 
   - ok + queueFull + shuttingDown + errors == issued: every schedule
     entry is accounted exactly once.
-  - latencyNs.count == ok, min <= max, and mean within [min, max];
-    p50 <= p90 <= p99 up to the log2-bucket interpolation (quantiles
-    come from obs::histogramQuantile, exact only to within a 2x
-    bucket), and each within [min/2, 2*max].
+  - latencyNs.count == ok and min <= p50 <= p90 <= p99 <= max. The
+    summary is exact, so it is recomputed from breakdown.samples
+    (latency = lagNs + clientNs, nearest-rank quantiles) and every
+    field, mean included, must match.
   - queueDepth has one sample per ok, sorted by tNs.
   - perApp counts sum to ok, apps drawn from the scenario mix.
-  - breakdown.traced == len(breakdown.samples) <= ok; samples are
+  - breakdown.traced == len(breakdown.samples) == ok; samples are
     sorted by strictly increasing traceId (every schedule entry gets a
     unique id); per sample the server decomposition must nest inside
     the client observation, queuedNs + proveNs + serializeNs <=
@@ -128,7 +128,13 @@ def validate_scenario(sc: Any, path: str) -> list:
     return pairs
 
 
-def validate_latency(lat: Any, ok: int, path: str) -> None:
+def nearest_rank(ordered: list, percent: int) -> int:
+    """Nearest-rank quantile, integer arithmetic as in the runner."""
+    rank = max(1, (percent * len(ordered) + 99) // 100)
+    return ordered[rank - 1]
+
+
+def validate_latency(lat: Any, samples: list, ok: int, path: str) -> None:
     _expect_keys(lat, ("count", "min", "max", "mean", "p50", "p90",
                        "p99"), path)
     for key in ("count", "min", "max", "mean", "p50", "p90", "p99"):
@@ -137,18 +143,27 @@ def validate_latency(lat: Any, ok: int, path: str) -> None:
             f"count ({lat['count']}) != ok ({ok})")
     if lat["count"] == 0:
         return
-    _expect(lat["min"] <= lat["max"], path,
-            f"min ({lat['min']}) > max ({lat['max']})")
-    _expect(lat["min"] <= lat["mean"] <= lat["max"], path,
-            f"mean ({lat['mean']}) outside [min, max]")
-    # Quantiles interpolate inside log2 buckets: ordered, and within a
-    # 2x band of the exact extremes.
-    _expect(lat["p50"] <= lat["p90"] <= lat["p99"], path,
-            "quantiles not ordered: p50 <= p90 <= p99 required")
-    _expect(lat["p50"] >= lat["min"] / 2, path,
-            f"p50 ({lat['p50']}) below min/2 ({lat['min'] / 2})")
-    _expect(lat["p99"] <= lat["max"] * 2, path,
-            f"p99 ({lat['p99']}) above 2*max ({lat['max'] * 2})")
+    _expect(lat["min"] <= lat["p50"] <= lat["p90"] <= lat["p99"]
+            <= lat["max"], path,
+            "not ordered: min <= p50 <= p90 <= p99 <= max required")
+    ordered = sorted(s["lagNs"] + s["clientNs"] for s in samples)
+    _expect(len(ordered) == lat["count"], path,
+            f"count ({lat['count']}) != {len(ordered)} samples")
+    want = {
+        "min": ordered[0],
+        "max": ordered[-1],
+        "p50": nearest_rank(ordered, 50),
+        "p90": nearest_rank(ordered, 90),
+        "p99": nearest_rank(ordered, 99),
+    }
+    for key, value in want.items():
+        _expect(lat[key] == value, path,
+                f"{key} ({lat[key]}) != {value} recomputed from the "
+                f"samples")
+    mean = sum(ordered) / len(ordered)
+    _expect(abs(lat["mean"] - mean) <= 1e-9 * max(1.0, mean), path,
+            f"mean ({lat['mean']}) != {mean} recomputed from the "
+            f"samples")
 
 
 def validate_breakdown(bd: Any, ok: int, path: str) -> None:
@@ -160,8 +175,8 @@ def validate_breakdown(bd: Any, ok: int, path: str) -> None:
             "'samples' must be an array")
     _expect(bd["traced"] == len(samples), path,
             f"traced ({bd['traced']}) != len(samples) ({len(samples)})")
-    _expect(len(samples) <= ok, path,
-            f"{len(samples)} traced samples but only {ok} ok responses")
+    _expect(len(samples) == ok, path,
+            f"{len(samples)} samples but {ok} ok responses")
     if samples:
         for key in ("meanClientNs", "meanServerNs", "meanQueuedNs",
                     "meanProveNs", "meanSerializeNs"):
@@ -174,10 +189,11 @@ def validate_breakdown(bd: Any, ok: int, path: str) -> None:
     last_trace = 0
     for i, s in enumerate(samples):
         spath = f"{path}.samples[{i}]"
-        _expect_keys(s, ("traceId", "laneId", "clientNs", "serverNs",
-                         "queuedNs", "proveNs", "serializeNs"), spath)
-        for key in ("traceId", "laneId", "clientNs", "serverNs",
-                    "queuedNs", "proveNs", "serializeNs"):
+        _expect_keys(s, ("traceId", "laneId", "lagNs", "clientNs",
+                         "serverNs", "queuedNs", "proveNs",
+                         "serializeNs"), spath)
+        for key in ("traceId", "laneId", "lagNs", "clientNs",
+                    "serverNs", "queuedNs", "proveNs", "serializeNs"):
             _expect_number(s, key, spath)
         _expect(s["traceId"] >= 1, spath,
                 "'traceId' 0 means untraced and cannot appear here")
@@ -213,9 +229,10 @@ def validate_results(res: Any, mix_pairs: list, path: str) -> None:
     _expect_number(res, "elapsedSeconds", path)
     _expect_number(res, "throughputRps", path)
 
-    validate_latency(res["latencyNs"], res["ok"], f"{path}.latencyNs")
     validate_breakdown(res["breakdown"], res["ok"],
                        f"{path}.breakdown")
+    validate_latency(res["latencyNs"], res["breakdown"]["samples"],
+                     res["ok"], f"{path}.latencyNs")
 
     qd = res["queueDepth"]
     _expect(isinstance(qd, list), path, "'queueDepth' must be an array")

@@ -1,99 +1,54 @@
 #!/usr/bin/env python3
 """End-to-end smoke test for the unizkd proving service.
 
-Two legs:
+Two legs, both driven by the unizk_load traffic generator:
 
-  1. Steady state: start unizkd, drive unizk_client through a small
-     mixed Plonky2/Starky workload over 4 concurrent connections with
-     --check (proofs byte-compared against the in-process pipeline),
-     then SIGTERM the daemon and assert a graceful drain: exit code 0,
+  1. Steady state: start unizkd, run a fixed-seed uniform-closed
+     schedule of 12 requests over 4 concurrent connections whose
+     shapes span both Plonky2 and Starky, with --check (every served
+     proof byte-compared against the in-process pipeline), then
+     SIGTERM the daemon and assert a graceful drain: exit code 0,
      socket file unlinked, and a valid unizk-stats-v2 document whose
      histograms carry one service.request_latency_ns sample per
      completed request.
 
   2. Overload: a second daemon with --queue-capacity 0 rejects every
-     request with the typed queue-full error (client reports them as
-     backpressure, not failures), then shuts down cleanly via the
-     protocol Shutdown frame.
+     request with the typed queue-full error (unizk_load reports them
+     as backpressure, not failures); the same invocation's --shutdown
+     then stops it cleanly via the protocol Shutdown frame.
 
 Registered as the `service_smoke` ctest; also run by CI's
 service-smoke job. Stdlib-only by design.
 
 Usage:
-    python3 tools/service/smoke_test.py /path/to/unizkd /path/to/unizk_client
+    python3 tools/service/smoke_test.py /path/to/unizkd /path/to/unizk_load
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import signal
 import subprocess
 import sys
 import tempfile
-import time
 
-sys.path.insert(
-    0,
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "obs"),
-)
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, "..", "obs"))
+sys.path.insert(0, os.path.join(HERE, "..", "load"))
 
 import validate_obs_json  # noqa: E402
+from load_smoke_test import (  # noqa: E402
+    parse_summary, run_load, stop_daemon, wait_for_socket)
 
-SUMMARY_RE = re.compile(
-    r"unizk_client: ok=(\d+) queue_full=(\d+) shutting_down=(\d+) "
-    r"errors=(\d+) mismatches=(\d+)"
-)
-
-
-def wait_for_socket(path: str, daemon: subprocess.Popen) -> None:
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        if os.path.exists(path):
-            return
-        if daemon.poll() is not None:
-            raise SystemExit(
-                f"unizkd exited early with {daemon.returncode}")
-        time.sleep(0.05)
-    raise SystemExit(f"unizkd never created {path}")
+# uniform-closed under this seed draws 12 requests in 4 distinct
+# shapes, Plonky2 and Starky both (checked against the daemon's
+# per-run protocols below).
+STEADY_ARGS = ["--scenario", "uniform-closed", "--seed", "6",
+               "--requests", "12", "--connections", "4"]
 
 
-def run_client(client: str, args: list) -> dict:
-    proc = subprocess.run(
-        [client] + args,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        timeout=600,
-    )
-    print(proc.stdout, end="")
-    if proc.returncode != 0:
-        raise SystemExit(
-            f"unizk_client {' '.join(args)} exited with {proc.returncode}"
-        )
-    match = SUMMARY_RE.search(proc.stdout)
-    if not match:
-        raise SystemExit("unizk_client printed no summary line")
-    keys = ("ok", "queue_full", "shutting_down", "errors", "mismatches")
-    return dict(zip(keys, (int(g) for g in match.groups())))
-
-
-def stop_daemon(daemon: subprocess.Popen, sock: str, how: str) -> None:
-    try:
-        out, _ = daemon.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        daemon.kill()
-        raise SystemExit(f"unizkd did not drain after {how}")
-    print(out, end="")
-    if daemon.returncode != 0:
-        raise SystemExit(
-            f"unizkd exited with {daemon.returncode} after {how}")
-    if os.path.exists(sock):
-        raise SystemExit(f"unizkd leaked its socket file {sock}")
-
-
-def steady_state_leg(unizkd: str, client: str, workdir: str) -> None:
+def steady_state_leg(unizkd: str, load: str, workdir: str) -> None:
     sock = os.path.join(workdir, "unizkd.sock")
     stats_path = os.path.join(workdir, "service-stats.json")
     daemon = subprocess.Popen(
@@ -105,12 +60,12 @@ def steady_state_leg(unizkd: str, client: str, workdir: str) -> None:
     )
     try:
         wait_for_socket(sock, daemon)
-        tally = run_client(
-            client,
-            ["--socket", sock, "--connections", "4", "--requests", "3",
-             "--check", "--threads", "2"],
-        )
-        if tally["ok"] != 12 or tally["errors"] or tally["mismatches"]:
+        # unizk_load exits nonzero on a --check mismatch or a breakdown
+        # violation, which run_load turns into a failure.
+        out = run_load(load, ["--socket", sock] + STEADY_ARGS +
+                       ["--check", "--threads", "2"])
+        tally = parse_summary(out, "steady state")
+        if tally["ok"] != 12 or tally["errors"]:
             raise SystemExit(f"steady state: bad tally {tally}")
         daemon.send_signal(signal.SIGTERM)
         stop_daemon(daemon, sock, "SIGTERM")
@@ -141,7 +96,7 @@ def steady_state_leg(unizkd: str, client: str, workdir: str) -> None:
     print("service_smoke: steady-state leg OK")
 
 
-def overload_leg(unizkd: str, client: str, workdir: str) -> None:
+def overload_leg(unizkd: str, load: str, workdir: str) -> None:
     sock = os.path.join(workdir, "unizkd-overload.sock")
     daemon = subprocess.Popen(
         [unizkd, "--socket", sock, "--queue-capacity", "0",
@@ -152,19 +107,14 @@ def overload_leg(unizkd: str, client: str, workdir: str) -> None:
     )
     try:
         wait_for_socket(sock, daemon)
-        tally = run_client(
-            client,
-            ["--socket", sock, "--connections", "4", "--requests", "2",
-             "--threads", "2"],
-        )
+        # Shut down over the protocol instead of a signal this time.
+        out = run_load(load, ["--socket", sock] + STEADY_ARGS +
+                       ["--requests", "8", "--shutdown", "--threads", "2"])
+        tally = parse_summary(out, "overload")
         if tally["queue_full"] != 8 or tally["ok"] or tally["errors"]:
             raise SystemExit(f"overload: bad tally {tally}")
-        # Shut down over the protocol instead of a signal this time.
-        run_client(
-            client,
-            ["--socket", sock, "--connections", "0", "--requests", "0",
-             "--shutdown", "--threads", "2"],
-        )
+        if "unizk_load: server acknowledged shutdown" not in out:
+            raise SystemExit("overload: shutdown not acknowledged")
         stop_daemon(daemon, sock, "protocol shutdown")
     finally:
         if daemon.poll() is None:
@@ -176,10 +126,10 @@ def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    unizkd, client = argv
+    unizkd, load = argv
     with tempfile.TemporaryDirectory() as workdir:
-        steady_state_leg(unizkd, client, workdir)
-        overload_leg(unizkd, client, workdir)
+        steady_state_leg(unizkd, load, workdir)
+        overload_leg(unizkd, load, workdir)
     print("service_smoke: OK")
     return 0
 

@@ -44,25 +44,6 @@ envUint(const char *name, uint64_t lo, uint64_t hi)
     return static_cast<uint64_t>(v);
 }
 
-std::optional<bool>
-envFlag(const char *name)
-{
-    // Same contract as envUint: no setenv after startup, so the
-    // lock-free read cannot race a writer.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    const char *env = std::getenv(name);
-    if (env == nullptr)
-        return std::nullopt;
-    const std::string_view v(env);
-    if (v == "1" || v == "on" || v == "true" || v == "yes")
-        return true;
-    if (v == "0" || v == "off" || v == "false" || v == "no")
-        return false;
-    warn("ignoring ", name, "='", env,
-         "': expected one of 1/on/true/yes or 0/off/false/no");
-    return std::nullopt;
-}
-
 std::optional<size_t>
 envChoice(const char *name, std::initializer_list<const char *> allowed)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Strict environment-variable parsing. Every knob the library reads
- * from the environment (UNIZK_THREADS, UNIZK_NTT_CACHE, ...) goes
+ * from the environment (UNIZK_THREADS, UNIZK_SIMD, ...) goes
  * through these helpers so malformed values are *rejected with a
  * warning* instead of silently mangled: bare strtoul() turns "8abc"
  * into 8, wraps "4294967297" on a narrowing cast, and accepts "-1" as
@@ -32,15 +32,6 @@ namespace unizk {
  */
 std::optional<uint64_t> envUint(const char *name, uint64_t lo,
                                 uint64_t hi);
-
-/**
- * Parse the environment variable @p name as a boolean switch.
- * Recognizes "1"/"on"/"true"/"yes" and "0"/"off"/"false"/"no"
- * (lowercase, as documented for UNIZK_NTT_CACHE). Returns std::nullopt
- * when unset, or (after a warn()) for any unrecognized spelling --
- * previously a typo like "flase" silently meant "on".
- */
-std::optional<bool> envFlag(const char *name);
 
 /**
  * Parse the environment variable @p name as one of a closed set of

@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "field/goldilocks.h"
+#include "field/goldilocks_seed.h"
 
 namespace unizk {
 namespace selfcheck {
@@ -92,12 +93,11 @@ static_assert(Fp::primitiveRootOfUnity(15) ==
                   Fp::primitiveRootOfUnity(16).squared(),
               "root tower is inconsistent: w_15 != w_16^2");
 
-// --- Branchless primitives agree with the operators on every carry -------
-// --- pattern (no wrap, 2^64 wrap, >= p, borrow). The NTT butterflies ------
-// --- run exclusively on these, so a divergence would silently corrupt -----
-// --- every proof. ---------------------------------------------------------
+// --- The operators agree with the seed's branchy ops on every carry -----
+// --- pattern (no wrap, 2^64 wrap, >= p, borrow). Every proof runs on ------
+// --- the operators, so a divergence would silently corrupt all of them. ---
 constexpr bool
-branchlessOpsMatchOperators()
+operatorsMatchSeedOps()
 {
     const Fp cases[] = {Fp::zero(),
                         Fp::one(),
@@ -111,19 +111,28 @@ branchlessOpsMatchOperators()
                         Fp(Fp::modulus / 2 + 1)};
     for (const Fp a : cases) {
         for (const Fp b : cases) {
-            if (Fp::addBranchless(a, b) != a + b)
+            if (a + b != seed::add(a, b))
                 return false;
-            if (Fp::subBranchless(a, b) != a - b)
+            if (a - b != seed::sub(a, b))
                 return false;
-            if (Fp::mulBranchless(a, b) != a * b)
+            if (a * b != seed::mul(a, b))
                 return false;
         }
+    }
+    // fpDot reduces sums of products, so reduce128 also sees 128-bit
+    // values no single product reaches.
+    const unsigned __int128 all_ones = ~static_cast<unsigned __int128>(0);
+    for (const unsigned __int128 x :
+         {all_ones, all_ones >> 32, all_ones << 64, all_ones << 96,
+          static_cast<unsigned __int128>(1) << 96}) {
+        if (Fp::reduce128(x) != seed::reduce128(x))
+            return false;
     }
     return true;
 }
 
-static_assert(branchlessOpsMatchOperators(),
-              "branchless field primitives diverge from the operators");
+static_assert(operatorsMatchSeedOps(),
+              "field operators diverge from the seed ops");
 
 // --- Field arithmetic spot checks (exercised at compile time). ------------
 static_assert((Fp(7).inverse() * Fp(7)).isOne(), "inverse(7)*7 != 1");

@@ -4,7 +4,6 @@
 
 #include "common/env.h"
 #include "common/logging.h"
-#include "hash/poseidon_batch.h"
 
 namespace unizk {
 
@@ -99,12 +98,6 @@ setSimdLevel(SimdLevel level)
     g_simd_level.store(static_cast<int>(level),
                        std::memory_order_release);
     return true;
-}
-
-void
-poseidonPermuteBatch4Scalar(const Poseidon &p, PoseidonState *states)
-{
-    poseidonPermuteBatch4Impl<FpVec4Scalar>(p, states);
 }
 
 } // namespace unizk

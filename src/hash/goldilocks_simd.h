@@ -5,17 +5,17 @@
  * throughput is won by running independent sponge states across SIMD
  * lanes, not by vectorizing inside one state).
  *
- * Two lane backends share one shape:
+ * Two levels:
  *
- *  - FpVec4Scalar (here, always compiled): four Fp lanes advanced with
- *    the branchless scalar primitives. This is both the portable
- *    fallback and the differential oracle for the vector backend.
- *  - FpVec4Avx2 (goldilocks_simd_avx2.cpp, compiled only when the
- *    toolchain targets x86-64): four 64-bit lanes in one __m256i,
- *    add/sub/mul pinned to the same branchless identities as the
- *    scalar path (2^64 === 2^32 - 1, 2^96 === -1 mod p), so every lane
- *    holds the canonical representative after every operation and the
- *    two backends agree bit for bit.
+ *  - Scalar (always available): Poseidon::permuteBatch runs permute()
+ *    once per state. Four scalar lanes in lockstep were measured
+ *    slower than that, so there is no scalar lane type.
+ *  - Avx2 (goldilocks_simd_avx2.cpp, compiled only when the toolchain
+ *    targets x86-64): four 64-bit lanes in one __m256i, add/sub/mul
+ *    pinned to the same masked identities as the Fp operators
+ *    (2^64 === 2^32 - 1, 2^96 === -1 mod p), so every lane holds the
+ *    canonical representative after every operation and the batch
+ *    agrees bit for bit with permute().
  *
  * Dispatch is decided once per process: the UNIZK_SIMD environment
  * variable ({auto, avx2, scalar}, parsed strictly through common/env.h)
@@ -73,83 +73,15 @@ SimdLevel activeSimdLevel();
  */
 bool setSimdLevel(SimdLevel level);
 
-/**
- * Portable lane type: four Fp lanes with the branchless scalar
- * primitives. Shape-identical to the AVX2 backend so the batched
- * permutation template instantiates over either.
- */
-struct FpVec4Scalar
-{
-    Fp lane[kSimdBatchWidth];
-
-    /** Element @p i of four consecutive sponge states, one per lane. */
-    static FpVec4Scalar
-    gather(const PoseidonState *states, size_t i)
-    {
-        FpVec4Scalar out;
-        for (size_t k = 0; k < kSimdBatchWidth; ++k)
-            out.lane[k] = states[k][i];
-        return out;
-    }
-
-    /** Write the lanes back into element @p i of four states. */
-    void
-    scatter(PoseidonState *states, size_t i) const
-    {
-        for (size_t k = 0; k < kSimdBatchWidth; ++k)
-            states[k][i] = lane[k];
-    }
-
-    /** The same constant in every lane. */
-    static FpVec4Scalar
-    broadcast(Fp x)
-    {
-        FpVec4Scalar out;
-        for (auto &l : out.lane)
-            l = x;
-        return out;
-    }
-
-    static FpVec4Scalar
-    add(const FpVec4Scalar &a, const FpVec4Scalar &b)
-    {
-        FpVec4Scalar out;
-        for (size_t k = 0; k < kSimdBatchWidth; ++k)
-            out.lane[k] = Fp::addBranchless(a.lane[k], b.lane[k]);
-        return out;
-    }
-
-    static FpVec4Scalar
-    sub(const FpVec4Scalar &a, const FpVec4Scalar &b)
-    {
-        FpVec4Scalar out;
-        for (size_t k = 0; k < kSimdBatchWidth; ++k)
-            out.lane[k] = Fp::subBranchless(a.lane[k], b.lane[k]);
-        return out;
-    }
-
-    static FpVec4Scalar
-    mul(const FpVec4Scalar &a, const FpVec4Scalar &b)
-    {
-        FpVec4Scalar out;
-        for (size_t k = 0; k < kSimdBatchWidth; ++k)
-            out.lane[k] = Fp::mulBranchless(a.lane[k], b.lane[k]);
-        return out;
-    }
-};
-
-/**
- * Backend kernels: advance exactly kSimdBatchWidth sponge states in
- * place. Exposed (rather than hidden behind permuteBatch) so the test
- * suite can differential-test both backends on any host regardless of
- * the dispatched level.
- * @{
- */
-void poseidonPermuteBatch4Scalar(const Poseidon &p, PoseidonState *states);
 #if defined(UNIZK_HAVE_AVX2)
+/**
+ * The AVX2 kernel: advance exactly kSimdBatchWidth sponge states in
+ * place. Exposed (rather than hidden behind permuteBatch) so the test
+ * suite can check it against permute() regardless of the dispatched
+ * level.
+ */
 void poseidonPermuteBatch4Avx2(const Poseidon &p, PoseidonState *states);
 #endif
-/** @} */
 
 } // namespace unizk
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * AVX2 backend of the Goldilocks lane layer: four 64-bit residues per
- * __m256i, advanced with the same branchless identities as the scalar
- * primitives (Fp::addBranchless / subBranchless / mulBranchless):
+ * __m256i, advanced with the same masked identities as the Fp
+ * operators (operator+ / operator- / operator*):
  *
  *   2^64 === 2^32 - 1 (mod p),   2^96 === -1 (mod p)
  *
@@ -13,9 +13,9 @@
  *    vpcmpgtq (cmpGtU64 below),
  *  - the mid * (2^32 - 1) term of the reduction is (mid << 32) - mid.
  *
- * Every operation returns the canonical representative, so this
- * backend is bit-interchangeable with FpVec4Scalar; the equivalence
- * suite in tests/test_poseidon.cpp pins that on every AVX2 host.
+ * Every operation returns the canonical representative, so the batch
+ * is bit-interchangeable with Poseidon::permute; the equivalence suite
+ * in tests/test_poseidon.cpp pins that on every AVX2 host.
  *
  * This TU is the only one compiled with -mavx2 (per-file flag in
  * src/hash/CMakeLists.txt) and, with goldilocks_simd.h/.cpp, the only
@@ -74,7 +74,7 @@ canonicalize(__m256i x)
     return _mm256_sub_epi64(x, _mm256_and_si256(mod, ge));
 }
 
-/** Canonical a + b, mirroring Fp::addBranchless. */
+/** Canonical a + b, mirroring Fp's operator+. */
 inline __m256i
 addU64Mod(__m256i a, __m256i b)
 {
@@ -86,7 +86,7 @@ addU64Mod(__m256i a, __m256i b)
     return canonicalize(s);
 }
 
-/** Canonical a - b, mirroring Fp::subBranchless. */
+/** Canonical a - b, mirroring Fp's operator-. */
 inline __m256i
 subU64Mod(__m256i a, __m256i b)
 {
@@ -96,7 +96,7 @@ subU64Mod(__m256i a, __m256i b)
     return d;
 }
 
-/** Canonical a * b, mirroring Fp::mulBranchless. */
+/** Canonical a * b, mirroring Fp's operator*. */
 inline __m256i
 mulU64Mod(__m256i a, __m256i b)
 {
@@ -141,11 +141,15 @@ mulU64Mod(__m256i a, __m256i b)
     return canonicalize(res);
 }
 
-/** Four Goldilocks lanes in one AVX2 register; see FpVec4Scalar. */
+/**
+ * Four Goldilocks lanes in one AVX2 register, lane k belonging to
+ * sponge state k: the lane type poseidonPermuteBatch4Impl expects.
+ */
 struct FpVec4Avx2
 {
     __m256i v;
 
+    /** Element @p i of four consecutive sponge states, one per lane. */
     static FpVec4Avx2
     gather(const PoseidonState *states, size_t i)
     {
@@ -157,6 +161,7 @@ struct FpVec4Avx2
             static_cast<long long>(states[0][i].value()))};
     }
 
+    /** Write the lanes back into element @p i of four states. */
     void
     scatter(PoseidonState *states, size_t i) const
     {
@@ -166,6 +171,7 @@ struct FpVec4Avx2
             states[k][i] = Fp(out[k]);
     }
 
+    /** The same constant in every lane. */
     static FpVec4Avx2
     broadcast(Fp x)
     {

@@ -243,21 +243,13 @@ void
 Poseidon::permuteBatch(PoseidonState *states, size_t n) const
 {
     size_t i = 0;
-    if (n >= kSimdBatchWidth) {
-        const SimdLevel level = activeSimdLevel();
-        for (; i + kSimdBatchWidth <= n; i += kSimdBatchWidth) {
 #if defined(UNIZK_HAVE_AVX2)
-            if (level == SimdLevel::Avx2) {
-                poseidonPermuteBatch4Avx2(*this, states + i);
-                continue;
-            }
-#else
-            (void)level;
-#endif
-            poseidonPermuteBatch4Scalar(*this, states + i);
-        }
+    if (n >= kSimdBatchWidth && activeSimdLevel() == SimdLevel::Avx2) {
+        for (; i + kSimdBatchWidth <= n; i += kSimdBatchWidth)
+            poseidonPermuteBatch4Avx2(*this, states + i);
     }
-    // Ragged tail: fewer than kSimdBatchWidth states left.
+#endif
+    // The scalar level, and the ragged tail at any level.
     for (; i < n; ++i)
         permute(states[i]);
 }

@@ -77,11 +77,11 @@ class Poseidon
     void permute(PoseidonState &state) const;
 
     /**
-     * Permute @p n independent states in place, advancing them in
-     * groups of kSimdBatchWidth through the SIMD backend selected by
-     * activeSimdLevel() (goldilocks_simd.h); the ragged tail falls back
-     * to scalar permute(). Bit-identical to n scalar permute() calls at
-     * every dispatch level, so callers may batch freely without
+     * Permute @p n independent states in place. At the Avx2 level
+     * (activeSimdLevel(), goldilocks_simd.h) groups of kSimdBatchWidth
+     * go through the vector kernel; the scalar level and the ragged
+     * tail run permute() per state. Bit-identical to n permute() calls
+     * at every dispatch level, so callers may batch freely without
      * affecting proof bytes.
      */
     void permuteBatch(PoseidonState *states, size_t n) const;

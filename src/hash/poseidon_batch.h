@@ -1,7 +1,7 @@
 /**
  * @file
  * The batched Poseidon permutation, templated over a 4-wide Goldilocks
- * lane type (FpVec4Scalar or the AVX2 backend). Vectorization is
+ * lane type (today only the AVX2 backend's). Vectorization is
  * *vertical*: lane k of every vector belongs to sponge state k, so all
  * four states advance through identical operations in lockstep and no
  * horizontal (cross-lane) instruction is ever needed -- full rounds,
@@ -15,7 +15,7 @@
  * permuteNaive.
  *
  * No intrinsics appear here (the raw-simd-intrinsic lint rule scopes
- * them to goldilocks_simd*); each backend TU instantiates the template
+ * them to goldilocks_simd*); a backend TU instantiates the template
  * with its own lane type under its own codegen flags.
  */
 

@@ -1,10 +1,9 @@
 #include "ntt/ntt.h"
 
-#include <type_traits>
-
 #include "common/bits.h"
 #include "common/thread_pool.h"
 #include "field/field_checks.h"
+#include "field/goldilocks_seed.h" // scalarNttNR & co. only
 #include "obs/obs.h"
 
 namespace unizk {
@@ -43,12 +42,11 @@ constexpr size_t par_min_size = size_t{1} << 15;
 constexpr size_t stage_grain = size_t{1} << 12;
 
 /**
- * One DIF (Gentleman-Sande) butterfly. The Fp instantiation uses the
- * branchless field primitives: butterfly inputs are effectively random
- * field elements, so the operators' carry branches are ~50/50 and the
- * mispredictions roughly halve inner-loop throughput (measured ~11 ->
- * ~5 ns/butterfly on the bench machine). Same canonical values either
- * way. The generic path serves Fp2 (short FRI final polynomials only).
+ * One DIF (Gentleman-Sande) butterfly over Fp, or over Fp2 (short FRI
+ * final polynomials) with an Fp twiddle. The Fp operators are
+ * branchless, which matters here: butterfly inputs are effectively
+ * random, so branchy carry adjustments would mispredict about half the
+ * time.
  */
 template <typename T>
 inline void
@@ -56,13 +54,8 @@ difButterfly(T &lo, T &hi, Fp w)
 {
     const T u = lo;
     const T v = hi;
-    if constexpr (std::is_same<T, Fp>::value) {
-        lo = Fp::addBranchless(u, v);
-        hi = Fp::mulBranchless(Fp::subBranchless(u, v), w);
-    } else {
-        lo = u + v;
-        hi = (u - v) * w;
-    }
+    lo = u + v;
+    hi = (u - v) * w;
 }
 
 /** One DIT (Cooley-Tukey) butterfly; see difButterfly. */
@@ -71,16 +64,9 @@ inline void
 ditButterfly(T &lo, T &hi, Fp w)
 {
     const T u = lo;
-    T v;
-    if constexpr (std::is_same<T, Fp>::value) {
-        v = Fp::mulBranchless(hi, w);
-        lo = Fp::addBranchless(u, v);
-        hi = Fp::subBranchless(u, v);
-    } else {
-        v = hi * w;
-        lo = u + v;
-        hi = u - v;
-    }
+    const T v = hi * w;
+    lo = u + v;
+    hi = u - v;
 }
 
 /**
@@ -231,57 +217,44 @@ ditRun(Fp *data, size_t n, const Fp *tw, bool allow_parallel)
     }
 }
 
-/** Multiply every element by the same constant (pool-chunked). */
+/** Run fn(lo, hi) over [0, n), pool-chunked when the size warrants. */
+template <typename Fn>
+void
+forRange(size_t n, bool allow_parallel, const Fn &fn)
+{
+    if (runParallel(n, allow_parallel))
+        parallelFor(0, n, stage_grain, fn);
+    else
+        fn(0, n);
+}
+
+/** Multiply every element by the same constant. */
 void
 scaleAll(std::vector<Fp> &a, Fp c, bool allow_parallel)
 {
-    if (!runParallel(a.size(), allow_parallel)) {
-        for (auto &x : a)
-            x = Fp::mulBranchless(x, c);
-        return;
-    }
     Fp *data = a.data();
-    parallelFor(0, a.size(), stage_grain, [&](size_t lo, size_t hi) {
+    forRange(a.size(), allow_parallel, [&](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i)
-            data[i] = Fp::mulBranchless(data[i], c);
+            data[i] *= c;
     });
 }
 
 /**
- * Multiply element i by extra * shift^i. Uses the cached coset-power
- * table when @p shift is the standard coset shift and the table covers
- * this size; otherwise each chunk seeds its power chain with a pow()
- * jump. Field arithmetic is exact, so both paths (and any chunking)
- * produce identical canonical values.
+ * out[i] = src[i] * extra * shift^i for i < n (@p out may alias
+ * @p src). Each chunk seeds its power chain with a pow() jump; field
+ * arithmetic is exact, so any chunking gives the same canonical values.
  */
 void
-applyCosetScale(std::vector<Fp> &a, Fp shift, Fp extra,
-                const std::vector<Fp> &table, bool allow_parallel)
+cosetScale(const Fp *src, Fp *out, size_t n, Fp shift, Fp extra,
+           bool allow_parallel)
 {
-    const size_t n = a.size();
-    Fp *data = a.data();
-    const Fp *pows =
-        table.size() == n && !table.empty() ? table.data() : nullptr;
-    const bool par = runParallel(n, allow_parallel);
-
-    auto chunk = [&](size_t lo, size_t hi) {
-        if (pows) {
-            for (size_t i = lo; i < hi; ++i) {
-                data[i] = Fp::mulBranchless(
-                    data[i], Fp::mulBranchless(pows[i], extra));
-            }
-        } else {
-            Fp p = shift.pow(lo) * extra;
-            for (size_t i = lo; i < hi; ++i) {
-                data[i] = Fp::mulBranchless(data[i], p);
-                p *= shift;
-            }
+    forRange(n, allow_parallel, [&](size_t lo, size_t hi) {
+        Fp p = shift.pow(lo) * extra;
+        for (size_t i = lo; i < hi; ++i) {
+            out[i] = src[i] * p;
+            p *= shift;
         }
-    };
-    if (par)
-        parallelFor(0, n, stage_grain, chunk);
-    else
-        chunk(0, n);
+    });
 }
 
 /** Bit-reverse permutation, pool-chunked: each swap pair (i, rev(i)) is
@@ -365,21 +338,8 @@ void
 cosetNttNRImpl(std::vector<Fp> &a, Fp shift, const TwiddleTable &t,
                bool par)
 {
-    const bool standard = shift == defaultCosetShift();
-    applyCosetScale(a, shift, Fp::one(),
-                    standard ? t.cosetFwd : std::vector<Fp>{}, par);
+    cosetScale(a.data(), a.data(), a.size(), shift, Fp::one(), par);
     difRun(a.data(), a.size(), t.fwd.data(), par);
-}
-
-void
-cosetNttNNImpl(std::vector<Fp> &a, Fp shift, const TwiddleTable &t,
-               bool par)
-{
-    const bool standard = shift == defaultCosetShift();
-    applyCosetScale(a, shift, Fp::one(),
-                    standard ? t.cosetFwd : std::vector<Fp>{}, par);
-    difRun(a.data(), a.size(), t.fwd.data(), par);
-    bitrevPermute(a, par);
 }
 
 } // namespace
@@ -434,7 +394,8 @@ void
 cosetNttNN(std::vector<Fp> &a, Fp shift)
 {
     checkTransformSize(a.size());
-    cosetNttNNImpl(a, shift, *acquireTwiddles(log2Exact(a.size())), true);
+    cosetNttNRImpl(a, shift, *acquireTwiddles(log2Exact(a.size())), true);
+    bitrevPermute(a, true);
 }
 
 void
@@ -452,9 +413,8 @@ cosetInttNN(std::vector<Fp> &a, Fp shift)
     difRun(a.data(), a.size(), t->inv.data(), true);
     bitrevPermute(a, true);
     // Fold the 1/n normalization into the inverse coset scaling pass.
-    const bool standard = shift == defaultCosetShift();
-    applyCosetScale(a, shift.inverse(), t->sizeInv,
-                    standard ? t->cosetInv : std::vector<Fp>{}, true);
+    cosetScale(a.data(), a.data(), a.size(), shift.inverse(), t->sizeInv,
+               true);
 }
 
 void
@@ -463,9 +423,8 @@ cosetInttRN(std::vector<Fp> &a, Fp shift)
     checkTransformSize(a.size());
     const auto t = acquireTwiddles(log2Exact(a.size()));
     ditRun(a.data(), a.size(), t->inv.data(), true);
-    const bool standard = shift == defaultCosetShift();
-    applyCosetScale(a, shift.inverse(), t->sizeInv,
-                    standard ? t->cosetInv : std::vector<Fp>{}, true);
+    cosetScale(a.data(), a.data(), a.size(), shift.inverse(), t->sizeInv,
+               true);
 }
 
 namespace {
@@ -502,20 +461,8 @@ ldeNRInto(const std::vector<Fp> &coeffs, uint32_t blowup, Fp shift,
 
     auto oneCoset = [&](size_t c, bool par) {
         Fp *slice = out + reverseBits(c, log_b) * n;
-        const Fp coset_shift = shift * w_m.pow(c);
-        // slice[i] = coeffs[i] * coset_shift^i, chunked power chains.
-        const Fp *src = coeffs.data();
-        auto scale = [&](size_t lo, size_t hi) {
-            Fp p = coset_shift.pow(lo);
-            for (size_t i = lo; i < hi; ++i) {
-                slice[i] = Fp::mulBranchless(src[i], p);
-                p *= coset_shift;
-            }
-        };
-        if (runParallel(n, par))
-            parallelFor(0, n, stage_grain, scale);
-        else
-            scale(0, n);
+        cosetScale(coeffs.data(), slice, n, shift * w_m.pow(c), Fp::one(),
+                   par);
         difRun(slice, n, t->fwd.data(), par);
     };
 
@@ -694,8 +641,9 @@ scalarNttNR(std::vector<Fp> &a)
 {
     checkTransformSize(a.size());
     const size_t n = a.size();
-    // The seed DIF core, verbatim: roots recomputed per call and the
-    // serial per-butterfly `w *= w_len` twiddle chain.
+    // The seed DIF core, verbatim: roots recomputed per call, the
+    // serial per-butterfly `w *= w_len` twiddle chain, and the seed's
+    // branchy field ops (goldilocks_seed.h).
     Fp w_len = forwardRoot(n);
     for (size_t len = n; len >= 2; len >>= 1) {
         const size_t half = len / 2;
@@ -704,9 +652,9 @@ scalarNttNR(std::vector<Fp> &a)
             for (size_t j = 0; j < half; ++j) {
                 const Fp u = a[start + j];
                 const Fp v = a[start + j + half];
-                a[start + j] = u + v;
-                a[start + j + half] = (u - v) * w;
-                w *= w_len;
+                a[start + j] = seed::add(u, v);
+                a[start + j + half] = seed::mul(seed::sub(u, v), w);
+                w = seed::mul(w, w_len);
             }
         }
         w_len = w_len.squared();
@@ -723,8 +671,8 @@ scalarLowDegreeExtension(const std::vector<Fp> &coeffs, uint32_t blowup,
     ext.resize(coeffs.size() * blowup, Fp::zero());
     Fp p = Fp::one();
     for (auto &x : ext) {
-        x *= p;
-        p *= shift;
+        x = seed::mul(x, p);
+        p = seed::mul(p, shift);
     }
     scalarNttNR(ext);
     return ext;

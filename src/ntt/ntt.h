@@ -26,7 +26,7 @@
  * sub-transforms (the "row NTTs"), which then run one-per-chunk on the
  * pool with twiddles read at stride from the same table. Every element
  * sees the same butterflies with the same twiddle values regardless of
- * thread count or cache setting, so proofs stay byte-identical.
+ * thread count, so proofs stay byte-identical.
  *
  * The batch entry points (inttBatchNN / nttBatchNR / ldeBatch /
  * ldeBatchNN) commit a whole set of polynomials with one twiddle
@@ -141,10 +141,11 @@ std::vector<Fp> naiveIdft(const std::vector<Fp> &a, Fp shift);
 
 /**
  * Seed-era scalar reference path: single-thread butterfly cores with
- * per-call root recomputation and the sequential twiddle chain. Kept
- * (only) so bench_ntt can report the engine's speedup against the exact
- * code the repository shipped before the twiddle-cached engine, and as
- * an extra equivalence oracle cheaper than naiveDft.
+ * per-call root recomputation, the sequential twiddle chain and the
+ * seed's branchy field ops (field/goldilocks_seed.h). Kept (only) so
+ * bench_ntt can report the engine's speedup against the exact code the
+ * repository shipped before the twiddle-cached engine, and as an extra
+ * equivalence oracle cheaper than naiveDft.
  * @{
  */
 void scalarNttNR(std::vector<Fp> &a);

@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "common/env.h"
 #include "common/sync.h"
 #include "field/goldilocks.h"
 #include "obs/obs.h"
@@ -19,13 +18,6 @@ namespace {
  * still work -- they build a private table per call.
  */
 constexpr uint32_t max_cached_log = 26;
-
-/**
- * Coset-power vectors are full-length (2^k elements each), so they are
- * capped lower; above this the engine falls back to cache-blocked
- * on-the-fly shift powers, which parallelize just as well.
- */
-constexpr uint32_t max_coset_log = 22;
 
 /**
  * Fill out[i] = base^i for i < out_len. Deliberately serial: table
@@ -61,14 +53,6 @@ buildTable(uint32_t log_size)
     t->inv.resize(n / 2);
     fillPowers(t->fwd.data(), n / 2, w);
     fillPowers(t->inv.data(), n / 2, w_inv);
-
-    if (log_size <= max_coset_log) {
-        const Fp g = Fp(Fp::multiplicativeGenerator);
-        t->cosetFwd.resize(n);
-        t->cosetInv.resize(n);
-        fillPowers(t->cosetFwd.data(), n, g);
-        fillPowers(t->cosetInv.data(), n, g.inverse());
-    }
     return t;
 }
 
@@ -77,8 +61,6 @@ struct Registry
     Mutex mutex;
     std::array<std::shared_ptr<const TwiddleTable>, Fp::twoAdicity + 1>
         slots UNIZK_GUARDED_BY(mutex);
-    bool enabled UNIZK_GUARDED_BY(mutex) = true;
-    bool env_checked UNIZK_GUARDED_BY(mutex) = false;
 };
 
 Registry &
@@ -88,20 +70,6 @@ registry()
     return r;
 }
 
-/** Resolve the UNIZK_NTT_CACHE environment knob once. Strict parse: an
- * unrecognized spelling (e.g. "flase") warns and keeps the cache
- * enabled instead of silently doing so. The annotation makes "caller
- * holds the registry mutex" machine-checked instead of a comment. */
-void
-resolveEnv(Registry &r) UNIZK_REQUIRES(r.mutex)
-{
-    if (r.env_checked)
-        return;
-    r.env_checked = true;
-    if (const auto flag = envFlag("UNIZK_NTT_CACHE"))
-        r.enabled = *flag;
-}
-
 } // namespace
 
 std::shared_ptr<const TwiddleTable>
@@ -109,39 +77,13 @@ acquireTwiddles(uint32_t log_size)
 {
     unizk_assert(log_size <= Fp::twoAdicity,
                  "transform size exceeds the field's 2-adicity");
-    Registry &r = registry();
-    if (log_size <= max_cached_log) {
-        MutexLock lock(r.mutex);
-        resolveEnv(r);
-        if (r.enabled) {
-            if (!r.slots[log_size])
-                r.slots[log_size] = buildTable(log_size);
-            return r.slots[log_size];
-        }
-    }
-    return buildTable(log_size);
-}
-
-void
-setTwiddleCacheEnabled(bool enabled)
-{
+    if (log_size > max_cached_log)
+        return buildTable(log_size);
     Registry &r = registry();
     MutexLock lock(r.mutex);
-    r.env_checked = true; // explicit setting wins over the env var
-    r.enabled = enabled;
-    if (!enabled) {
-        for (auto &slot : r.slots)
-            slot.reset();
-    }
-}
-
-bool
-twiddleCacheEnabled()
-{
-    Registry &r = registry();
-    MutexLock lock(r.mutex);
-    resolveEnv(r);
-    return r.enabled;
+    if (!r.slots[log_size])
+        r.slots[log_size] = buildTable(log_size);
+    return r.slots[log_size];
 }
 
 void

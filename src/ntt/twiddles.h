@@ -19,17 +19,16 @@
  *    loops are pure table lookups with no loop-carried dependency and
  *    can be chunked across pool workers.
  *  - inv[j] = w^-j, the same layout for inverse transforms.
- *  - cosetFwd[i] = g^i and cosetInv[i] = g^-i for the standard coset
- *    shift g (defaultCosetShift), the pre/post-scaling vectors of the
- *    LDE and its inverse.
  *  - sizeInv = (2^k)^-1, the iNTT normalization constant.
  *
- * Tables are built once per size on first touch (double-checked under a
+ * Coset scaling has no table: the engine runs chunked power chains of
+ * the shift, which parallelize just as well and cost no memory.
+ *
+ * Tables up to 2^26 are built once per size on first touch (under a
  * mutex, so concurrent first-touch from pool workers is safe) and live
- * for the process. The cache can be disabled -- per call sites building
- * private tables -- with setTwiddleCacheEnabled(false) or UNIZK_NTT_CACHE=0;
- * proofs are byte-identical either way because field arithmetic is exact
- * and the table entries equal the values the seed code chained to.
+ * for the process; larger sizes get a private table per call. The
+ * table entries equal the values the seed code chained to, so either
+ * way the transforms give the same canonical values.
  */
 
 #ifndef UNIZK_NTT_TWIDDLES_H
@@ -54,35 +53,19 @@ struct TwiddleTable
     /** inv[j] = w^-j, j < n/2. */
     std::vector<Fp> inv;
 
-    /** cosetFwd[i] = g^i, i < n, g = defaultCosetShift(). */
-    std::vector<Fp> cosetFwd;
-
-    /** cosetInv[i] = g^-i, i < n. */
-    std::vector<Fp> cosetInv;
-
     /** n^-1 for iNTT normalization. */
     Fp sizeInv = Fp::one();
 };
 
 /**
  * Table for transforms of size 2^log_size. Served from the registry
- * when caching is enabled (and the size is within the cache bound),
- * otherwise freshly built. The returned pointer is always non-null and
- * safe to hold across pool-parallel regions.
+ * when the size is within the cache bound, otherwise freshly built. The
+ * returned pointer is always non-null and safe to hold across
+ * pool-parallel regions.
  */
 std::shared_ptr<const TwiddleTable> acquireTwiddles(uint32_t log_size);
 
-/**
- * Enable/disable the process-wide twiddle cache. Disabling clears the
- * registry; transforms then build private tables per call. Intended for
- * tests and for bounding memory in constrained runs.
- */
-void setTwiddleCacheEnabled(bool enabled);
-
-/** Current cache setting (default: on, unless UNIZK_NTT_CACHE=0). */
-bool twiddleCacheEnabled();
-
-/** Drop every cached table (keeps the enabled/disabled setting). */
+/** Drop every cached table (tables already handed out stay valid). */
 void clearTwiddleCache();
 
 } // namespace unizk

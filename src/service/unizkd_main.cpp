@@ -21,6 +21,7 @@
  * totals exactly (checked by tools/obs/validate_obs_json.py in CI).
  */
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <thread>
@@ -134,10 +135,14 @@ main(int argc, char **argv)
     if (!svc.start())
         return 1;
 
+    // Set before the wake-up signal below, so the sigwait thread can
+    // tell that signal from one an operator sent.
+    std::atomic<bool> waking{false};
     std::thread signal_thread([&] {
         int sig = 0;
         sigwait(&stop_signals, &sig);
-        inform("unizkd: caught signal ", sig, ", draining");
+        if (!waking.load())
+            inform("unizkd: caught signal ", sig, ", draining");
         svc.requestStop();
     });
 
@@ -158,6 +163,7 @@ main(int argc, char **argv)
 
     // A protocol Shutdown frame stops the service without a signal;
     // deliver one so the sigwait thread can be joined either way.
+    waking.store(true);
     pthread_kill(signal_thread.native_handle(), SIGTERM);
     signal_thread.join();
 

@@ -442,23 +442,6 @@ TEST(Env, UintRejectsSignsAndEmpty)
     EXPECT_FALSE(envUint("UNIZK_TEST_UINT", 1, 100).has_value());
 }
 
-TEST(Env, FlagSpellings)
-{
-    for (const char *on : {"1", "on", "true", "yes"}) {
-        ScopedEnv e("UNIZK_TEST_FLAG", on);
-        EXPECT_EQ(envFlag("UNIZK_TEST_FLAG"), true) << on;
-    }
-    for (const char *off : {"0", "off", "false", "no"}) {
-        ScopedEnv e("UNIZK_TEST_FLAG", off);
-        EXPECT_EQ(envFlag("UNIZK_TEST_FLAG"), false) << off;
-    }
-    // Regression: a typo like "flase" used to silently mean "enabled".
-    ScopedEnv typo("UNIZK_TEST_FLAG", "flase");
-    EXPECT_FALSE(envFlag("UNIZK_TEST_FLAG").has_value());
-    ScopedEnv unset("UNIZK_TEST_FLAG", nullptr);
-    EXPECT_FALSE(envFlag("UNIZK_TEST_FLAG").has_value());
-}
-
 TEST(Env, ChoiceMatchesAllowedSpellings)
 {
     // The UNIZK_SIMD contract: exact lowercase spellings map to their

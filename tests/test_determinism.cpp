@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "hash/challenger.h"
-#include "ntt/twiddles.h"
 #include "plonk/plonk.h"
 #include "serialize/bytes.h"
 #include "serialize/proof_io.h"
@@ -106,11 +105,11 @@ TEST(Determinism, PlonkProofBytesIdenticalAcrossSameSeedRuns)
     EXPECT_EQ(first, second);
 }
 
-TEST(Determinism, PlonkProofBytesInvariantToThreadsAndTwiddleCache)
+TEST(Determinism, PlonkProofBytesInvariantToThreads)
 {
-    // The NTT engine's parallel decomposition and twiddle caching must
-    // be invisible in proof bytes: field arithmetic is exact, so any
-    // chunking or table reuse yields identical canonical values.
+    // The NTT engine's parallel decomposition must be invisible in
+    // proof bytes: field arithmetic is exact, so any chunking yields
+    // identical canonical values.
     const unsigned saved_threads = globalThreadCount();
     setGlobalThreadCount(1);
     const std::vector<uint8_t> reference = provePlonkSeeded(777);
@@ -123,10 +122,6 @@ TEST(Determinism, PlonkProofBytesInvariantToThreadsAndTwiddleCache)
     }
 
     setGlobalThreadCount(saved_threads);
-    setTwiddleCacheEnabled(false);
-    clearTwiddleCache();
-    EXPECT_EQ(provePlonkSeeded(777), reference) << "twiddle cache off";
-    setTwiddleCacheEnabled(true);
 }
 
 TEST(Determinism, SplitMix64IsPureStateMachine)

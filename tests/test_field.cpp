@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "field/extension.h"
 #include "field/goldilocks.h"
+#include "field/goldilocks_seed.h"
 
 namespace unizk {
 namespace {
@@ -130,6 +131,98 @@ TEST(Goldilocks, BatchInverseEmptyOk)
     std::vector<Fp> xs;
     batchInverse(xs);
     EXPECT_TRUE(xs.empty());
+}
+
+// ---- The operators against the seed ops and a plain % reference.
+
+using u128 = unsigned __int128;
+
+/** x mod p for a 128-bit value, by integer division. */
+uint64_t
+modP(u128 x)
+{
+    return static_cast<uint64_t>(x % Fp::modulus);
+}
+
+/**
+ * Number of (a, b) pairs on which +, - or * disagrees with the seed op
+ * or with the % reference; reports the first such pair.
+ */
+struct OpChecker
+{
+    uint64_t mismatches = 0;
+
+    void
+    check(Fp a, Fp b)
+    {
+        const uint64_t x = a.value();
+        const uint64_t y = b.value();
+        const bool ok =
+            (a + b).value() == modP(u128{x} + y) &&
+            (a - b).value() == modP(u128{x} + Fp::modulus - y) &&
+            (a * b).value() == modP(u128{x} * y) &&
+            a + b == seed::add(a, b) && a - b == seed::sub(a, b) &&
+            a * b == seed::mul(a, b);
+        if (!ok && mismatches++ == 0)
+            ADD_FAILURE() << "operators disagree on a=" << x
+                          << " b=" << y;
+    }
+};
+
+TEST(Goldilocks, OperatorsMatchSeedOpsAndModReferenceRandomized)
+{
+    SplitMix64 rng(2024);
+    OpChecker checker;
+    for (int i = 0; i < 1000000; ++i)
+        checker.check(randomFp(rng), randomFp(rng));
+    EXPECT_EQ(checker.mismatches, 0u);
+}
+
+TEST(Goldilocks, OperatorsMatchSeedOpsAndModReferenceOnBoundaries)
+{
+    // Every carry pattern: no wrap, 2^64 wrap, sum >= p, borrow, and
+    // products whose 2^64 / 2^96 coefficients are zero or maximal.
+    const uint64_t p = Fp::modulus;
+    const Fp boundary[] = {Fp(0),
+                           Fp(1),
+                           Fp((uint64_t{1} << 32) - 1),
+                           Fp(uint64_t{1} << 32),
+                           Fp(p - (uint64_t{1} << 32) + 1),
+                           Fp(p / 2),
+                           Fp(p - 1)};
+    OpChecker checker;
+    for (const Fp a : boundary)
+        for (const Fp b : boundary)
+            checker.check(a, b);
+    EXPECT_EQ(checker.mismatches, 0u);
+}
+
+TEST(Goldilocks, DotMatchesModReferenceAtMaximalWraps)
+{
+    // All-(p-1) inputs make every product (p-1)^2, close to 2^128, so
+    // the lazily reduced accumulators wrap on nearly every term.
+    const uint64_t m = Fp::modulus - 1;
+    SplitMix64 rng(77);
+    for (size_t n = 1; n <= 12; ++n) {
+        const std::vector<Fp> maxed(n, Fp(m));
+        uint64_t expect = 0;
+        for (size_t i = 0; i < n; ++i)
+            expect = modP(u128{expect} + modP(u128{m} * m));
+        EXPECT_EQ(fpDot(maxed.data(), maxed.data(), n).value(), expect)
+            << "n=" << n;
+
+        std::vector<Fp> a(n), b(n);
+        expect = 0;
+        for (size_t i = 0; i < n; ++i) {
+            a[i] = randomFp(rng);
+            b[i] = randomFp(rng);
+            const uint64_t x = a[i].value();
+            const uint64_t y = b[i].value();
+            expect = modP(u128{expect} + modP(u128{x} * y));
+        }
+        EXPECT_EQ(fpDot(a.data(), b.data(), n).value(), expect)
+            << "random n=" << n;
+    }
 }
 
 TEST(Extension, SevenIsNonResidue)

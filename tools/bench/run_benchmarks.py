@@ -59,6 +59,21 @@ GATES = {
     "poseidon.batch_over_scalar": ("higher", 0.20),
 }
 
+# The two timings each ratio gate divides, numerator first. A failing
+# gate prints them (now and at baseline), so a reader can tell a kernel
+# that regressed from a reference that got faster.
+GATE_PARTS = {
+    "ntt.speedup_1t.2pow14": ("ntt-nr.2pow14.seed_scalar_seconds",
+                              "ntt-nr.2pow14.engine_1t_seconds"),
+    "lde.speedup_1t.2pow14": ("lde.2pow14.seed_scalar_seconds",
+                              "lde.2pow14.engine_1t_seconds"),
+    "poseidon.naive_over_opt": (
+        "micro.BM_PoseidonPermutationNaive.real_time_ns",
+        "micro.BM_PoseidonPermutation.real_time_ns"),
+    "poseidon.batch_over_scalar": ("poseidon.permute.scalar_seconds",
+                                   "poseidon.permute.batch_seconds"),
+}
+
 
 def run(cmd, **kwargs):
     proc = subprocess.run(
@@ -223,15 +238,31 @@ def compare(current, baseline):
             if cur_value < floor:
                 failures.append(
                     f"{name}: {cur_value:.4g} below floor {floor:.4g} "
-                    f"(baseline {base_value:.4g}, tolerance {tol:.0%})")
+                    f"(baseline {base_value:.4g}, tolerance {tol:.0%})"
+                    + gate_parts(name, current, baseline))
         else:
             ceiling = base_value * (1.0 + tol)
             if cur_value > ceiling:
                 failures.append(
                     f"{name}: {cur_value:.4g} above ceiling "
                     f"{ceiling:.4g} (baseline {base_value:.4g}, "
-                    f"tolerance {tol:.0%})")
+                    f"tolerance {tol:.0%})"
+                    + gate_parts(name, current, baseline))
     return failures
+
+
+def gate_parts(name, current, baseline):
+    """Informational suffix for a failing ratio gate: its numerator and
+    denominator timings, now and at baseline ("" for other gates)."""
+    lines = ""
+    for part in GATE_PARTS.get(name, ()):
+        values = []
+        for doc in (current, baseline):
+            metric = doc.get("metrics", {}).get(part)
+            values.append("n/a" if metric is None else
+                          f"{metric['value']:.4g} {metric['unit']}")
+        lines += f"\n    {part}: {values[0]} (baseline {values[1]})"
+    return lines
 
 
 def main(argv=None):

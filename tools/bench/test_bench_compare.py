@@ -57,6 +57,31 @@ def main():
     expect(compare(noisy, baseline) == [],
            "in-tolerance noise must not be flagged")
 
+    # A failing ratio gate also shows the two timings it divides, now
+    # and at baseline, so "the reference got faster" reads differently
+    # from "the kernel regressed"; a part missing from a document reads
+    # n/a instead of hiding the line.
+    parts_base = make_doc()
+    parts_base["metrics"]["ntt-nr.2pow14.seed_scalar_seconds"] = {
+        "value": 0.040, "unit": "seconds"}
+    parts_base["metrics"]["ntt-nr.2pow14.engine_1t_seconds"] = {
+        "value": 0.010, "unit": "seconds"}
+    parts_slow = copy.deepcopy(parts_base)
+    parts_slow["gates"]["ntt.speedup_1t.2pow14"]["value"] = 2.0
+    parts_slow["metrics"]["ntt-nr.2pow14.seed_scalar_seconds"][
+        "value"] = 0.020
+    del parts_slow["metrics"]["ntt-nr.2pow14.engine_1t_seconds"]
+    failures = compare(parts_slow, parts_base)
+    expect(len(failures) == 1, f"expected one failure: {failures}")
+    expect("ntt-nr.2pow14.seed_scalar_seconds: 0.02 seconds "
+           "(baseline 0.04 seconds)" in failures[0],
+           f"numerator timing not shown: {failures}")
+    expect("ntt-nr.2pow14.engine_1t_seconds: n/a "
+           "(baseline 0.01 seconds)" in failures[0],
+           f"denominator timing not shown: {failures}")
+    expect(compare(parts_base, parts_base) == [],
+           "a passing gate must print nothing")
+
     # Improvements never fail.
     faster = make_doc()
     faster["gates"]["ntt.speedup_1t.2pow14"]["value"] = 8.0

@@ -130,8 +130,9 @@ def wait_for_socket(path: str, daemon: subprocess.Popen) -> None:
     raise SystemExit(f"unizkd never created {path}")
 
 
-def stop_daemon(daemon: subprocess.Popen, sock: str, how: str) -> None:
-    """Wait for a daemon told to stop (by @p how) to drain cleanly."""
+def stop_daemon(daemon: subprocess.Popen, sock: str, how: str) -> str:
+    """Wait for a daemon told to stop (by @p how) to drain cleanly;
+    returns its output."""
     try:
         out, _ = daemon.communicate(timeout=120)
     except subprocess.TimeoutExpired:
@@ -143,6 +144,7 @@ def stop_daemon(daemon: subprocess.Popen, sock: str, how: str) -> None:
             f"unizkd exited with {daemon.returncode} after {how}")
     if os.path.exists(sock):
         raise SystemExit(f"unizkd leaked its socket file {sock}")
+    return out
 
 
 def run_scenario(load: str, sock: str, workdir: str, name: str,

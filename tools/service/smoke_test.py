@@ -68,7 +68,9 @@ def steady_state_leg(unizkd: str, load: str, workdir: str) -> None:
         if tally["ok"] != 12 or tally["errors"]:
             raise SystemExit(f"steady state: bad tally {tally}")
         daemon.send_signal(signal.SIGTERM)
-        stop_daemon(daemon, sock, "SIGTERM")
+        log = stop_daemon(daemon, sock, "SIGTERM")
+        if "caught signal" not in log:
+            raise SystemExit("steady state: SIGTERM stop not logged")
     finally:
         if daemon.poll() is None:
             daemon.kill()
@@ -115,7 +117,12 @@ def overload_leg(unizkd: str, load: str, workdir: str) -> None:
             raise SystemExit(f"overload: bad tally {tally}")
         if "unizk_load: server acknowledged shutdown" not in out:
             raise SystemExit("overload: shutdown not acknowledged")
-        stop_daemon(daemon, sock, "protocol shutdown")
+        log = stop_daemon(daemon, sock, "protocol shutdown")
+        # Only an operator's signal is logged as one; the daemon's own
+        # wake-up of its signal thread is not.
+        if "caught signal" in log:
+            raise SystemExit("overload: protocol shutdown logged as a "
+                             "signal")
     finally:
         if daemon.poll() is None:
             daemon.kill()

@@ -58,7 +58,7 @@ int
 main(int argc, char **argv)
 {
     const HarnessOptions opt = parseHarnessOptions(argc, argv);
-    FriConfig cfg = opt.plonky2Config();
+    FriConfig cfg = FriConfig::plonky2(opt.fast);
     cfg.powBits = 8; // PoW grinding is irrelevant to the ablation
 
     const HardwareConfig base_hw = HardwareConfig::paperDefault();

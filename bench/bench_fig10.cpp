@@ -48,7 +48,7 @@ int
 main(int argc, char **argv)
 {
     const HarnessOptions opt = parseHarnessOptions(argc, argv);
-    const FriConfig cfg = opt.plonky2Config();
+    const FriConfig cfg = FriConfig::plonky2(opt.fast);
     const HardwareConfig base_hw = HardwareConfig::paperDefault();
 
     const WorkloadParams p = defaultParams(AppId::Mvm, opt.scale);

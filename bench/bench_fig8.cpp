@@ -17,7 +17,7 @@ int
 main(int argc, char **argv)
 {
     const HarnessOptions opt = parseHarnessOptions(argc, argv);
-    const FriConfig cfg = opt.plonky2Config();
+    const FriConfig cfg = FriConfig::plonky2(opt.fast);
     const HardwareConfig hw = opt.paperHw();
 
     std::printf("=== Figure 8: UniZK time breakdown by kernel type "

@@ -33,7 +33,7 @@ int
 main(int argc, char **argv)
 {
     const HarnessOptions opt = parseHarnessOptions(argc, argv);
-    const FriConfig cfg = opt.plonky2Config();
+    const FriConfig cfg = FriConfig::plonky2(opt.fast);
     const HardwareConfig hw = HardwareConfig::paperDefault();
 
     std::printf("=== Figure 9: speedups by kernel type ===\n");

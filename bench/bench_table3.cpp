@@ -23,7 +23,7 @@ int
 main(int argc, char **argv)
 {
     const HarnessOptions opt = parseHarnessOptions(argc, argv);
-    const FriConfig cfg = opt.plonky2Config();
+    const FriConfig cfg = FriConfig::plonky2(opt.fast);
     const HardwareConfig hw = opt.paperHw();
 
     // With a real thread count (> 1) the CPU baseline is measured

@@ -30,8 +30,8 @@ int
 main(int argc, char **argv)
 {
     const HarnessOptions opt = parseHarnessOptions(argc, argv);
-    const FriConfig starky_cfg = opt.starkyConfig();
-    const FriConfig plonky_cfg = opt.plonky2Config();
+    const FriConfig starky_cfg = FriConfig::starky(opt.fast);
+    const FriConfig plonky_cfg = FriConfig::plonky2(opt.fast);
     const HardwareConfig hw = HardwareConfig::paperDefault();
     const Groth16CostModel groth_model;
 

@@ -88,28 +88,6 @@ struct HarnessOptions
         hw.timelineSamplePeriod = timelinePeriod;
         return hw;
     }
-
-    FriConfig
-    plonky2Config() const
-    {
-        FriConfig cfg = FriConfig::plonky2();
-        if (fast) {
-            cfg.powBits = 8;
-            cfg.numQueries = 8;
-        }
-        return cfg;
-    }
-
-    FriConfig
-    starkyConfig() const
-    {
-        FriConfig cfg = FriConfig::starky();
-        if (fast) {
-            cfg.powBits = 8;
-            cfg.numQueries = 16;
-        }
-        return cfg;
-    }
 };
 
 inline HarnessOptions

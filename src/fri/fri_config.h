@@ -51,28 +51,31 @@ struct FriConfig
     /**
      * Plonky2-style configuration: blowup 8. Query count chosen for
      * ~100-bit conjectured security as in the paper's workloads.
+     * @p fast is the --fast rule shared by every CLI, harness and the
+     * service: 8 PoW bits and 8 queries (reduced security, same shapes).
      */
     static FriConfig
-    plonky2()
+    plonky2(bool fast = false)
     {
         FriConfig cfg;
         cfg.blowupBits = 3;
         cfg.capHeight = 4;
-        cfg.powBits = 16;
-        cfg.numQueries = 28;
+        cfg.powBits = fast ? 8 : 16;
+        cfg.numQueries = fast ? 8 : 28;
         cfg.finalPolyLen = 32;
         return cfg;
     }
 
-    /** Starky-style configuration: blowup 2, many more queries. */
+    /** Starky-style configuration: blowup 2, many more queries.
+     *  @p fast: 8 PoW bits and 16 queries, as for plonky2(). */
     static FriConfig
-    starky()
+    starky(bool fast = false)
     {
         FriConfig cfg;
         cfg.blowupBits = 1;
         cfg.capHeight = 4;
-        cfg.powBits = 16;
-        cfg.numQueries = 84;
+        cfg.powBits = fast ? 8 : 16;
+        cfg.numQueries = fast ? 16 : 84;
         cfg.finalPolyLen = 32;
         return cfg;
     }

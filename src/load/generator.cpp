@@ -108,9 +108,9 @@ buildSchedule(const Scenario &scenario, uint64_t seed)
                        : uniformDraw(rng, scenario.keySpace);
         item.request = requestForKey(scenario, seed, item.key);
         // Every scheduled request is traced: the id is the 1-based
-        // schedule position (0 would downgrade to an untraced frame),
-        // which makes server-side spans and response decompositions
-        // joinable back to the schedule row.
+        // schedule position (0 would leave the daemon's spans without
+        // an id), which makes server-side spans and response
+        // decompositions joinable back to the schedule row.
         item.request.traceId = i + 1;
         if (scenario.arrival == Arrival::OpenPoisson) {
             arrival_ns += static_cast<uint64_t>(

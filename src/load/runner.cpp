@@ -37,7 +37,7 @@ struct RunState
     uint64_t breakdownViolations UNIZK_GUARDED_BY(mutex) = 0;
 };
 
-/** A request's ReferenceProofs key: its untraced wire encoding. */
+/** A request's ReferenceProofs key: its wire encoding with traceId 0. */
 std::vector<uint8_t>
 referenceKey(service::ProveRequest req)
 {
@@ -134,7 +134,7 @@ issueOne(ServiceClient &client, const Scenario &scenario,
     state.queueDepth.push_back({t_ns, p.queueDepth});
     state.perApp[mixIndexOf(scenario, item.request)] += 1;
     state.samples.push_back(sample);
-    if (!p.hasServerTiming || p.traceId != item.request.traceId ||
+    if (p.traceId != item.request.traceId ||
         p.queuedNs + p.proveNs + p.serializeNs > p.latencyNs ||
         p.latencyNs > client_ns) {
         state.breakdownViolations += 1;

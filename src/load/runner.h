@@ -43,8 +43,8 @@ namespace load {
 
 /**
  * Reference proof bytes per distinct request shape, keyed by the
- * request's untraced wire encoding (equal keys, equal proofs). Built
- * by referenceProofs() for --check.
+ * request's wire encoding with traceId 0 (equal keys, equal proofs).
+ * Built by referenceProofs() for --check.
  */
 using ReferenceProofs =
     std::map<std::vector<uint8_t>, std::vector<uint8_t>>;

@@ -15,12 +15,6 @@ ServiceClient::prove(const ProveRequest &req)
 }
 
 std::optional<ResponseFrame>
-ServiceClient::ping()
-{
-    return roundTrip(encodePing());
-}
-
-std::optional<ResponseFrame>
 ServiceClient::shutdownServer()
 {
     return roundTrip(encodeShutdown());

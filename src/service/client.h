@@ -32,7 +32,6 @@ class ServiceClient
      * protocol-level rejections come back as Tag::Error frames.
      */
     std::optional<ResponseFrame> prove(const ProveRequest &req);
-    std::optional<ResponseFrame> ping();
     std::optional<ResponseFrame> shutdownServer();
 
     /** Rotate and fetch the daemon's stats window (Tag::GetStats).

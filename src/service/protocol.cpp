@@ -86,16 +86,9 @@ validProveFields(const ProveRequest &req)
 FriConfig
 requestFriConfig(const ProveRequest &req)
 {
-    FriConfig cfg = req.protocol == WireProtocol::Plonky2
-                        ? FriConfig::plonky2()
-                        : FriConfig::starky();
-    // Same knobs as unizk_cli --fast.
-    if (req.fast) {
-        cfg.powBits = 8;
-        cfg.numQueries =
-            req.protocol == WireProtocol::Plonky2 ? 8 : 16;
-    }
-    return cfg;
+    return req.protocol == WireProtocol::Plonky2
+               ? FriConfig::plonky2(req.fast)
+               : FriConfig::starky(req.fast);
 }
 
 size_t
@@ -142,10 +135,7 @@ std::vector<uint8_t>
 encodeProveRequest(const ProveRequest &req)
 {
     ByteWriter w;
-    // Untraced requests keep the frozen v1 layout so a v2 client can
-    // talk to a v1 server by simply not setting a trace id.
-    w.putU64(static_cast<uint64_t>(req.traceId == 0 ? Tag::Prove
-                                                    : Tag::ProveV2));
+    w.putU64(static_cast<uint64_t>(Tag::Prove));
     w.putU64(static_cast<uint64_t>(req.protocol));
     w.putU64(static_cast<uint64_t>(req.app));
     w.putU64(req.rows);
@@ -153,16 +143,7 @@ encodeProveRequest(const ProveRequest &req)
     const uint64_t flags =
         (req.fast ? 1u : 0u) | (req.verify ? 2u : 0u);
     w.putU64(flags);
-    if (req.traceId != 0)
-        w.putU64(req.traceId);
-    return w.take();
-}
-
-std::vector<uint8_t>
-encodePing()
-{
-    ByteWriter w;
-    w.putU64(static_cast<uint64_t>(Tag::Ping));
+    w.putU64(req.traceId);
     return w.take();
 }
 
@@ -195,18 +176,15 @@ finishProveResponse(const ProveResponse &resp,
                     const std::vector<uint8_t> &proof_section)
 {
     ByteWriter w;
-    w.putU64(static_cast<uint64_t>(
-        resp.hasServerTiming ? Tag::ProveOkV2 : Tag::ProveOk));
+    w.putU64(static_cast<uint64_t>(Tag::ProveOk));
     w.putU64(resp.verified ? 1 : 0);
     w.putU64(resp.latencyNs);
     w.putU64(resp.queueDepth);
-    if (resp.hasServerTiming) {
-        w.putU64(resp.traceId);
-        w.putU64(resp.laneId);
-        w.putU64(resp.queuedNs);
-        w.putU64(resp.proveNs);
-        w.putU64(resp.serializeNs);
-    }
+    w.putU64(resp.traceId);
+    w.putU64(resp.laneId);
+    w.putU64(resp.queuedNs);
+    w.putU64(resp.proveNs);
+    w.putU64(resp.serializeNs);
     w.putRaw(proof_section.data(), proof_section.size());
     return w.take();
 }
@@ -215,14 +193,6 @@ std::vector<uint8_t>
 encodeProveResponse(const ProveResponse &resp)
 {
     return finishProveResponse(resp, encodeProofSection(resp.proof));
-}
-
-std::vector<uint8_t>
-encodePong()
-{
-    ByteWriter w;
-    w.putU64(static_cast<uint64_t>(Tag::Pong));
-    return w.take();
 }
 
 std::vector<uint8_t>
@@ -283,20 +253,13 @@ decodeRequest(const std::vector<uint8_t> &payload)
     if (!r.ok())
         return std::nullopt;
     switch (static_cast<Tag>(tag)) {
-    case Tag::Ping:
-        frame.tag = Tag::Ping;
-        break;
     case Tag::Shutdown:
         frame.tag = Tag::Shutdown;
         break;
     case Tag::GetStats:
         frame.tag = Tag::GetStats;
         break;
-    case Tag::Prove:
-    case Tag::ProveV2: {
-        // Both versions normalize to tag == Tag::Prove; the trace id in
-        // the body is what distinguishes them, so dispatch downstream
-        // stays version-blind.
+    case Tag::Prove: {
         frame.tag = Tag::Prove;
         ProveRequest &req = frame.prove;
         req.protocol = static_cast<WireProtocol>(r.getU64());
@@ -306,14 +269,7 @@ decodeRequest(const std::vector<uint8_t> &payload)
         const uint64_t flags = r.getU64();
         req.fast = (flags & 1) != 0;
         req.verify = (flags & 2) != 0;
-        if (static_cast<Tag>(tag) == Tag::ProveV2) {
-            req.traceId = r.getU64();
-            // traceId != 0 <=> V2 is an invariant, not a convention: a
-            // zero id here would re-encode as a v1 frame and break the
-            // round-trip property the tests pin.
-            if (req.traceId == 0)
-                return std::nullopt;
-        }
+        req.traceId = r.getU64();
         if (!r.ok() || !validProveFields(req))
             return std::nullopt;
         break;
@@ -335,32 +291,20 @@ decodeResponse(const std::vector<uint8_t> &payload)
     if (!r.ok())
         return std::nullopt;
     switch (static_cast<Tag>(tag)) {
-    case Tag::Pong:
-        frame.tag = Tag::Pong;
-        break;
     case Tag::ShutdownAck:
         frame.tag = Tag::ShutdownAck;
         break;
-    case Tag::ProveOk:
-    case Tag::ProveOkV2: {
-        // Like ProveV2 requests, V2 responses normalize: the frame tag
-        // is Tag::ProveOk and hasServerTiming says whether the
-        // decomposition fields are populated.
+    case Tag::ProveOk: {
         frame.tag = Tag::ProveOk;
         ProveResponse &resp = frame.prove;
         resp.verified = r.getU64() != 0;
         resp.latencyNs = r.getU64();
         resp.queueDepth = r.getU64();
-        if (static_cast<Tag>(tag) == Tag::ProveOkV2) {
-            resp.hasServerTiming = true;
-            resp.traceId = r.getU64();
-            resp.laneId = r.getU64();
-            resp.queuedNs = r.getU64();
-            resp.proveNs = r.getU64();
-            resp.serializeNs = r.getU64();
-            if (resp.traceId == 0)
-                return std::nullopt;
-        }
+        resp.traceId = r.getU64();
+        resp.laneId = r.getU64();
+        resp.queuedNs = r.getU64();
+        resp.proveNs = r.getU64();
+        resp.serializeNs = r.getU64();
         auto proof = getBytes(r, kMaxResponseFrameBytes);
         if (!r.ok() || !proof)
             return std::nullopt;

@@ -39,32 +39,19 @@ namespace service {
 constexpr uint64_t kMaxRequestFrameBytes = uint64_t{1} << 16;
 constexpr uint64_t kMaxResponseFrameBytes = uint64_t{1} << 28;
 
-/**
- * Payload tags. Requests are client -> server, responses the reverse.
- *
- * Versioning: ProveV2/ProveOkV2 extend the v1 prove frames with a
- * trace id (and, on the response, the server-side latency
- * decomposition). The v1 layouts are frozen -- a v1 client talking to
- * a v2 server (or the reverse) keeps working, because a prove request
- * without a trace id is encoded as Tag::Prove and answered with
- * Tag::ProveOk, while a traced request uses the V2 pair end to end
- * (traceId != 0 <=> V2 frames; regression-tested both directions).
- */
+/** Payload tags, one per job; requests are client -> server, responses
+ *  the reverse. */
 enum class Tag : uint64_t
 {
     // Requests.
     Prove = 1,
-    Ping = 2,
     Shutdown = 3,
-    ProveV2 = 4,  ///< Prove + trailing non-zero traceId
     GetStats = 5, ///< rotate + fetch the daemon's stats window
 
     // Responses.
     ProveOk = 101,
-    Pong = 102,
     ShutdownAck = 103,
     Error = 104,
-    ProveOkV2 = 105, ///< ProveOk + trace echo and timing decomposition
     StatsOk = 106,
 };
 
@@ -95,10 +82,9 @@ struct ProveRequest
     uint64_t reps = 0; ///< 0 = the app's default (Plonky2 only)
     bool fast = true;  ///< reduced FRI security, as unizk_cli --fast
     bool verify = true;
-    /** Client-generated trace id; 0 = untraced (encoded as a legacy
-     *  Tag::Prove frame). Non-zero selects the ProveV2 frame, tags the
-     *  daemon's per-request span tree, and is echoed in the response
-     *  together with the server-side timing decomposition. */
+    /** Client-generated trace id, echoed in the response. Non-zero tags
+     *  the daemon's per-request span tree; 0 leaves its spans without
+     *  an id. */
     uint64_t traceId = 0;
 };
 
@@ -110,11 +96,14 @@ struct ProveResponse
     uint64_t queueDepth = 0;  ///< jobs ahead of this one at admission
     std::vector<uint8_t> proof; ///< canonical serialized proof bytes
 
-    /** True iff the ProveOkV2 fields below are populated (the request
-     *  carried a trace id). The server guarantees
-     *  queuedNs + proveNs + serializeNs <= latencyNs by sampling
-     *  latencyNs last. */
-    bool hasServerTiming = false;
+    /** Always true on a decoded ProveOk and ignored by the encoder;
+     *  kept only because e2ebench reads it -- delete it with the next
+     *  e2ebench change. */
+    bool hasServerTiming = true;
+
+    // Server-side timing decomposition. The server guarantees
+    // queuedNs + proveNs + serializeNs <= latencyNs by sampling
+    // latencyNs last.
     uint64_t traceId = 0;     ///< echo of the request's trace id
     uint64_t laneId = 0;      ///< prover lane that ran the request
     uint64_t queuedNs = 0;    ///< admission -> lane dequeue
@@ -164,21 +153,17 @@ struct ErrorResponse
     std::string message;
 };
 
-/** A decoded request payload (tag + per-tag body). Traced prove
- *  requests decode with tag == Tag::Prove (the prove body's traceId
- *  distinguishes them), so server dispatch stays tag-version-blind. */
+/** A decoded request payload (tag + per-tag body). */
 struct RequestFrame
 {
-    Tag tag = Tag::Ping;
+    Tag tag = Tag::Prove;
     ProveRequest prove; ///< valid iff tag == Tag::Prove
 };
 
-/** A decoded response payload (tag + per-tag body). V2 prove
- *  responses decode with tag == Tag::ProveOk and
- *  prove.hasServerTiming == true. */
+/** A decoded response payload (tag + per-tag body). */
 struct ResponseFrame
 {
-    Tag tag = Tag::Pong;
+    Tag tag = Tag::ProveOk;
     ProveResponse prove; ///< valid iff tag == Tag::ProveOk
     ErrorResponse error; ///< valid iff tag == Tag::Error
     StatsResponse stats; ///< valid iff tag == Tag::StatsOk
@@ -206,13 +191,10 @@ size_t requestReps(const ProveRequest &req);
  */
 AppRunResult proveRequest(const ProveRequest &req);
 
-/** Emits Tag::Prove when req.traceId == 0, Tag::ProveV2 otherwise. */
 std::vector<uint8_t> encodeProveRequest(const ProveRequest &req);
-std::vector<uint8_t> encodePing();
 std::vector<uint8_t> encodeShutdown();
 std::vector<uint8_t> encodeGetStats();
 
-/** Emits Tag::ProveOk, or Tag::ProveOkV2 when resp.hasServerTiming. */
 std::vector<uint8_t> encodeProveResponse(const ProveResponse &resp);
 
 /**
@@ -232,7 +214,6 @@ std::vector<uint8_t>
 finishProveResponse(const ProveResponse &resp,
                     const std::vector<uint8_t> &proof_section);
 
-std::vector<uint8_t> encodePong();
 std::vector<uint8_t> encodeShutdownAck();
 std::vector<uint8_t> encodeError(ErrorCode code,
                                  const std::string &message);

@@ -357,9 +357,6 @@ ProofService::handleRequest(Connection &conn,
     }
 
     switch (frame->tag) {
-    case Tag::Ping:
-        return writeFrame(fd, encodePong());
-
     case Tag::GetStats:
         // Rotation is safe mid-traffic (recording threads never block
         // on it); the gauges are sampled immediately after the window
@@ -472,7 +469,6 @@ ProofService::proverLane(unsigned lane_id)
             response.verified = result.verified;
             response.queueDepth = job->admissionDepth;
             response.proof = result.proofBlob;
-            response.hasServerTiming = req.traceId != 0;
             response.traceId = req.traceId;
             response.laneId = lane_id;
             response.queuedNs = queued_ns;

@@ -106,12 +106,9 @@ main(int argc, char **argv)
         obs::setEnabled(true);
     }
 
-    FriConfig cfg = protocol == "plonky2" ? FriConfig::plonky2()
-                                          : FriConfig::starky();
-    if (cli.has("fast")) {
-        cfg.powBits = 8;
-        cfg.numQueries = protocol == "plonky2" ? 8 : 16;
-    }
+    const bool fast = cli.has("fast");
+    const FriConfig cfg = protocol == "plonky2" ? FriConfig::plonky2(fast)
+                                                : FriConfig::starky(fast);
     HardwareConfig hw = HardwareConfig::paperDefault();
     hw.timelineSamplePeriod = cli.getUint("timeline-period", 0);
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -78,17 +79,13 @@ TEST(Protocol, ProveRequestRoundTrip)
 
 TEST(Protocol, ControlFramesRoundTrip)
 {
-    auto ping = decodeRequest(encodePing());
-    ASSERT_TRUE(ping.has_value());
-    EXPECT_EQ(ping->tag, Tag::Ping);
-
     auto shutdown = decodeRequest(encodeShutdown());
     ASSERT_TRUE(shutdown.has_value());
     EXPECT_EQ(shutdown->tag, Tag::Shutdown);
 
-    auto pong = decodeResponse(encodePong());
-    ASSERT_TRUE(pong.has_value());
-    EXPECT_EQ(pong->tag, Tag::Pong);
+    auto stats = decodeRequest(encodeGetStats());
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->tag, Tag::GetStats);
 
     auto ack = decodeResponse(encodeShutdownAck());
     ASSERT_TRUE(ack.has_value());
@@ -131,8 +128,24 @@ TEST(Protocol, RejectsUnknownTags)
     w2.putU64(999);
     EXPECT_FALSE(decodeResponse(w2.take()).has_value());
     // A response tag is not a valid request and vice versa.
-    EXPECT_FALSE(decodeRequest(encodePong()).has_value());
-    EXPECT_FALSE(decodeResponse(encodePing()).has_value());
+    EXPECT_FALSE(decodeRequest(encodeShutdownAck()).has_value());
+    EXPECT_FALSE(decodeResponse(encodeShutdown()).has_value());
+
+    // Retired tags (requests 2 and 4, responses 102 and 105) are
+    // unknown, even in front of a well-formed prove body. The tag is
+    // a little-endian u64, so rewriting its low byte retags a frame.
+    for (const int tag : {2, 4}) {
+        auto frame = encodeProveRequest(smallRequest());
+        frame[0] = static_cast<uint8_t>(tag);
+        EXPECT_FALSE(decodeRequest(frame).has_value()) << tag;
+    }
+    ProveResponse resp;
+    resp.proof = {1};
+    for (const int tag : {102, 105}) {
+        auto frame = encodeProveResponse(resp);
+        frame[0] = static_cast<uint8_t>(tag);
+        EXPECT_FALSE(decodeResponse(frame).has_value()) << tag;
+    }
 }
 
 TEST(Protocol, RejectsTruncatedAndTrailingBytes)
@@ -190,17 +203,16 @@ TEST(Protocol, ErrorMessageLengthClaimIsBounded)
 }
 
 // ---------------------------------------------------------------------
-// Versioned prove frames and the stats window frame.
+// Prove frame layouts (trace id and timing always present) and the
+// stats window frame.
 
-TEST(ProtocolV2, TracedProveRequestRoundTrip)
+TEST(ProtocolLayout, TracedProveRequestRoundTrip)
 {
     ProveRequest req = smallRequest();
     req.traceId = 77;
     const auto bytes = encodeProveRequest(req);
-    // The V2 tag goes on the wire, but decode normalizes so server
-    // dispatch stays version-blind.
     ByteReader peek(bytes);
-    EXPECT_EQ(peek.getU64(), static_cast<uint64_t>(Tag::ProveV2));
+    EXPECT_EQ(peek.getU64(), static_cast<uint64_t>(Tag::Prove));
     const auto frame = decodeRequest(bytes);
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->tag, Tag::Prove);
@@ -208,44 +220,39 @@ TEST(ProtocolV2, TracedProveRequestRoundTrip)
     EXPECT_EQ(frame->prove.rows, 64u);
 }
 
-TEST(ProtocolV2, UntracedProveRequestKeepsFrozenV1Layout)
+TEST(ProtocolLayout, ProveRequestLayoutIsPinned)
 {
-    // Byte-layout pin: a traceId of 0 must produce exactly the v1
-    // frame, so a v2 client keeps working against a v1 server.
-    const ProveRequest req = smallRequest();
+    // Byte-layout pin of the one prove request frame. The trace id is
+    // always on the wire; 0 is legal and round-trips.
+    ProveRequest req = smallRequest();
+    req.protocol = WireProtocol::Starky;
+    req.app = AppId::Fibonacci;
+    req.fast = false;
     ByteWriter w;
-    w.putU64(static_cast<uint64_t>(Tag::Prove));
-    w.putU64(static_cast<uint64_t>(req.protocol));
-    w.putU64(static_cast<uint64_t>(req.app));
-    w.putU64(req.rows);
-    w.putU64(req.reps);
-    w.putU64(3); // fast | verify
-    EXPECT_EQ(encodeProveRequest(req), w.take());
+    w.putU64(1); // Tag::Prove
+    w.putU64(1); // starky
+    w.putU64(static_cast<uint64_t>(AppId::Fibonacci));
+    w.putU64(64); // rows
+    w.putU64(1);  // reps
+    w.putU64(2);  // flags: verify, not fast
+    w.putU64(0);  // traceId
+    const auto pinned = w.take();
+    EXPECT_EQ(pinned.size(), 7 * sizeof(uint64_t));
+    EXPECT_EQ(encodeProveRequest(req), pinned);
+    const auto frame = decodeRequest(pinned);
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->prove.traceId, 0u);
+    EXPECT_FALSE(frame->prove.fast);
+    EXPECT_EQ(encodeProveRequest(frame->prove), pinned);
 }
 
-TEST(ProtocolV2, ProveV2WithZeroTraceIdRejected)
-{
-    // traceId != 0 <=> V2 frame; a hand-rolled V2 frame claiming id 0
-    // would make the two encodings ambiguous and is rejected.
-    ByteWriter w;
-    w.putU64(static_cast<uint64_t>(Tag::ProveV2));
-    w.putU64(0); // plonky2
-    w.putU64(0); // factorial
-    w.putU64(64);
-    w.putU64(1);
-    w.putU64(3);
-    w.putU64(0); // traceId 0: invalid in a V2 frame
-    EXPECT_FALSE(decodeRequest(w.take()).has_value());
-}
-
-TEST(ProtocolV2, TracedProveResponseRoundTrip)
+TEST(ProtocolLayout, TracedProveResponseRoundTrip)
 {
     ProveResponse resp;
     resp.verified = true;
     resp.latencyNs = 5000;
     resp.queueDepth = 2;
     resp.proof = {1, 2, 3};
-    resp.hasServerTiming = true;
     resp.traceId = 42;
     resp.laneId = 1;
     resp.queuedNs = 1000;
@@ -254,12 +261,11 @@ TEST(ProtocolV2, TracedProveResponseRoundTrip)
 
     const auto bytes = encodeProveResponse(resp);
     ByteReader peek(bytes);
-    EXPECT_EQ(peek.getU64(), static_cast<uint64_t>(Tag::ProveOkV2));
+    EXPECT_EQ(peek.getU64(), static_cast<uint64_t>(Tag::ProveOk));
 
     const auto frame = decodeResponse(bytes);
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->tag, Tag::ProveOk);
-    ASSERT_TRUE(frame->prove.hasServerTiming);
     EXPECT_EQ(frame->prove.traceId, 42u);
     EXPECT_EQ(frame->prove.laneId, 1u);
     EXPECT_EQ(frame->prove.queuedNs, 1000u);
@@ -269,49 +275,49 @@ TEST(ProtocolV2, TracedProveResponseRoundTrip)
     EXPECT_EQ(frame->prove.proof, resp.proof);
 }
 
-TEST(ProtocolV2, UntracedProveResponseKeepsFrozenV1Layout)
+TEST(ProtocolLayout, ProveResponseLayoutIsPinned)
 {
+    // Byte-layout pin of the one prove response frame: header, trace
+    // echo, timing block, then the length-prefixed proof. The encoder
+    // ignores hasServerTiming; the decoder always sets it.
     ProveResponse resp;
     resp.verified = true;
     resp.latencyNs = 999;
     resp.queueDepth = 1;
+    resp.laneId = 3;
+    resp.queuedNs = 100;
+    resp.proveNs = 600;
+    resp.serializeNs = 50;
     resp.proof = {7, 8};
+    resp.hasServerTiming = false;
 
     ByteWriter w;
-    w.putU64(static_cast<uint64_t>(Tag::ProveOk));
-    w.putU64(1);
-    w.putU64(999);
-    w.putU64(1);
-    w.putU64(2); // proof length prefix
-    w.putRaw(resp.proof.data(), resp.proof.size());
-    EXPECT_EQ(encodeProveResponse(resp), w.take());
-
-    const auto frame = decodeResponse(encodeProveResponse(resp));
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_FALSE(frame->prove.hasServerTiming);
-}
-
-TEST(ProtocolV2, ProveOkV2WithZeroTraceIdRejected)
-{
-    ByteWriter w;
-    w.putU64(static_cast<uint64_t>(Tag::ProveOkV2));
+    w.putU64(101); // Tag::ProveOk
     w.putU64(1);   // verified
-    w.putU64(100); // latencyNs
-    w.putU64(0);   // queueDepth
-    w.putU64(0);   // traceId 0: invalid in a V2 frame
-    w.putU64(0);   // laneId
-    w.putU64(10);
-    w.putU64(20);
-    w.putU64(30);
-    w.putU64(0); // empty proof
-    EXPECT_FALSE(decodeResponse(w.take()).has_value());
+    w.putU64(999); // latencyNs
+    w.putU64(1);   // queueDepth
+    w.putU64(0);   // traceId
+    w.putU64(3);   // laneId
+    w.putU64(100); // queuedNs
+    w.putU64(600); // proveNs
+    w.putU64(50);  // serializeNs
+    w.putU64(2);   // proof length prefix
+    w.putRaw(resp.proof.data(), resp.proof.size());
+    const auto pinned = w.take();
+    EXPECT_EQ(encodeProveResponse(resp), pinned);
+
+    const auto frame = decodeResponse(pinned);
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_TRUE(frame->prove.hasServerTiming);
+    EXPECT_EQ(frame->prove.traceId, 0u);
+    EXPECT_EQ(frame->prove.laneId, 3u);
+    EXPECT_EQ(frame->prove.proof, resp.proof);
 }
 
-TEST(ProtocolV2, FinishProveResponseMatchesSingleShotEncoder)
+TEST(ProtocolLayout, FinishProveResponseMatchesSingleShotEncoder)
 {
     // The two-step path (lane times encodeProofSection, then stamps
-    // the header) must be byte-identical to the one-shot encoder, for
-    // both frame versions.
+    // the header) must be byte-identical to the one-shot encoder.
     ProveResponse resp;
     resp.verified = true;
     resp.latencyNs = 1234;
@@ -320,7 +326,6 @@ TEST(ProtocolV2, FinishProveResponseMatchesSingleShotEncoder)
     EXPECT_EQ(finishProveResponse(resp, encodeProofSection(resp.proof)),
               encodeProveResponse(resp));
 
-    resp.hasServerTiming = true;
     resp.traceId = 6;
     resp.laneId = 0;
     resp.queuedNs = 100;
@@ -361,7 +366,7 @@ sampleStats()
     return stats;
 }
 
-TEST(ProtocolV2, StatsResponseRoundTrip)
+TEST(ProtocolLayout, StatsResponseRoundTrip)
 {
     const StatsResponse stats = sampleStats();
     const auto frame = decodeResponse(encodeStatsResponse(stats));
@@ -389,7 +394,7 @@ TEST(ProtocolV2, StatsResponseRoundTrip)
     EXPECT_EQ(got.histograms[0].cumulative.count, 40u);
 }
 
-TEST(ProtocolV2, V2FramesRejectTruncationAndTrailingBytes)
+TEST(ProtocolLayout, FramesRejectTruncationAndTrailingBytes)
 {
     ProveRequest req = smallRequest();
     req.traceId = 5;
@@ -397,7 +402,6 @@ TEST(ProtocolV2, V2FramesRejectTruncationAndTrailingBytes)
     frames.push_back(encodeProveRequest(req));
     frames.push_back(encodeStatsResponse(sampleStats()));
     ProveResponse resp;
-    resp.hasServerTiming = true;
     resp.traceId = 5;
     resp.proof = {1};
     frames.push_back(encodeProveResponse(resp));
@@ -426,7 +430,7 @@ TEST(ProtocolV2, V2FramesRejectTruncationAndTrailingBytes)
     }
 }
 
-TEST(ProtocolV2, StatsEntryCountClaimIsBounded)
+TEST(ProtocolLayout, StatsEntryCountClaimIsBounded)
 {
     // A StatsOk frame claiming 2^40 counters with no payload must be
     // rejected from the claim alone, never allocated.
@@ -758,35 +762,36 @@ TEST(BoundedQueue, ConcurrentCloseRace)
 // ---------------------------------------------------------------------
 // End-to-end service tests.
 
-TEST(Service, PingAndUnknownTag)
+TEST(Service, UnknownAndRetiredTagsDrawBadRequest)
 {
     ServiceConfig cfg;
-    cfg.socketPath = testSocketPath("ping");
+    cfg.socketPath = testSocketPath("badtag");
     cfg.proverLanes = 1;
     ProofService svc(cfg);
     ASSERT_TRUE(svc.start());
 
     ServiceClient client(cfg.socketPath);
     ASSERT_TRUE(client.connected());
-    auto pong = client.ping();
-    ASSERT_TRUE(pong.has_value());
-    EXPECT_EQ(pong->tag, Tag::Pong);
 
-    // An unknown request tag draws a typed BadRequest, and the
-    // connection stays usable.
-    ByteWriter w;
-    w.putU64(424242);
-    ASSERT_TRUE(client.sendRaw(w.take()));
-    auto err = client.readResponse();
-    ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->tag, Tag::Error);
-    EXPECT_EQ(err->error.code, ErrorCode::BadRequest);
-    auto pong2 = client.ping();
-    ASSERT_TRUE(pong2.has_value());
-    EXPECT_EQ(pong2->tag, Tag::Pong);
+    // An unknown request tag -- a retired one (2, 4, 102, 105) or
+    // garbage -- draws a typed BadRequest, and the connection stays
+    // usable.
+    const uint64_t tags[] = {2, 4, 102, 105, 424242};
+    for (const uint64_t tag : tags) {
+        ByteWriter w;
+        w.putU64(tag);
+        ASSERT_TRUE(client.sendRaw(w.take()));
+        auto err = client.readResponse();
+        ASSERT_TRUE(err.has_value()) << tag;
+        EXPECT_EQ(err->tag, Tag::Error) << tag;
+        EXPECT_EQ(err->error.code, ErrorCode::BadRequest) << tag;
+        auto stats = client.getStats();
+        ASSERT_TRUE(stats.has_value()) << tag;
+        EXPECT_EQ(stats->tag, Tag::StatsOk) << tag;
+    }
 
     svc.stop();
-    EXPECT_GE(svc.counters().rejectedBadRequest, 1u);
+    EXPECT_EQ(svc.counters().rejectedBadRequest, std::size(tags));
 }
 
 TEST(Service, OversizedFrameDrawsBadFrameAndDisconnect)
@@ -928,7 +933,7 @@ TEST(Service, ProtocolShutdownDrains)
     EXPECT_FALSE(late.connected());
 }
 
-TEST(Service, TracedProveEchoesDecompositionProofUnchanged)
+TEST(Service, EveryProveEchoesDecompositionProofUnchanged)
 {
     ServiceConfig cfg;
     cfg.socketPath = testSocketPath("traced");
@@ -939,26 +944,28 @@ TEST(Service, TracedProveEchoesDecompositionProofUnchanged)
     ServiceClient client(cfg.socketPath);
     ASSERT_TRUE(client.connected());
 
-    // Untraced request: legacy response, no server timing.
+    // Trace id 0 and a non-zero id both get the lane and a nested
+    // timing chain back; the proof bytes are unaffected by the id.
     const auto plain = client.prove(smallRequest());
     ASSERT_TRUE(plain.has_value());
     ASSERT_EQ(plain->tag, Tag::ProveOk);
-    EXPECT_FALSE(plain->prove.hasServerTiming);
+    const ProveResponse &u = plain->prove;
+    EXPECT_EQ(u.traceId, 0u);
+    EXPECT_EQ(u.laneId, 0u);
+    EXPECT_GT(u.proveNs, 0u);
+    EXPECT_LE(u.queuedNs + u.proveNs + u.serializeNs, u.latencyNs);
 
-    // Traced request: decomposition comes back, nested by
-    // construction, and the proof bytes are unaffected by tracing.
     ProveRequest traced = smallRequest();
     traced.traceId = 42;
     const auto resp = client.prove(traced);
     ASSERT_TRUE(resp.has_value());
     ASSERT_EQ(resp->tag, Tag::ProveOk);
     const ProveResponse &p = resp->prove;
-    ASSERT_TRUE(p.hasServerTiming);
     EXPECT_EQ(p.traceId, 42u);
     EXPECT_EQ(p.laneId, 0u);
     EXPECT_GT(p.proveNs, 0u);
     EXPECT_LE(p.queuedNs + p.proveNs + p.serializeNs, p.latencyNs);
-    EXPECT_EQ(p.proof, plain->prove.proof);
+    EXPECT_EQ(p.proof, u.proof);
 
     svc.stop();
     EXPECT_EQ(svc.counters().requestsCompleted, 2u);
@@ -1009,7 +1016,6 @@ TEST(Service, GetStatsServedWhileLaneIsMidRequest)
     const auto resp = prover.readResponse();
     ASSERT_TRUE(resp.has_value());
     ASSERT_EQ(resp->tag, Tag::ProveOk);
-    ASSERT_TRUE(resp->prove.hasServerTiming);
     EXPECT_EQ(resp->prove.traceId, 7u);
 
     // Every GetStats rotation went through the shared window sink (the

@@ -62,6 +62,45 @@ class TestFpRawArith(LintHarness):
             ["fp-raw-arith"],
         )
 
+    def test_split_across_line_break_triggers_on_start_line(self):
+        findings = self.lint(
+            "tests/test_x.cpp",
+            "int a = 0;\n"
+            "const u128 sq = u128{m.value()} *\n"
+            "                m.value();\n",
+        )
+        self.assertEqual(
+            [(f.rule, f.line) for f in findings], [("fp-raw-arith", 2)]
+        )
+
+    def test_operator_leading_next_line_triggers(self):
+        findings = self.lint(
+            "src/fri/query.cpp",
+            "size_t idx = c.challenge().value()\n"
+            "             % domain;\n",
+        )
+        self.assertEqual(
+            [(f.rule, f.line) for f in findings], [("fp-raw-arith", 1)]
+        )
+
+    def test_match_spanning_into_a_line_keeps_that_lines_own_match(self):
+        findings = self.lint(
+            "tests/test_x.cpp",
+            "uint64_t s = base +\n"
+            "    x.value() * y.value();\n",
+        )
+        self.assertEqual(
+            [f.line for f in findings if f.rule == "fp-raw-arith"], [1, 2]
+        )
+
+    def test_split_match_suppressed_on_its_start_line(self):
+        self.assert_clean(
+            "tests/test_x.cpp",
+            "// unizk-lint: disable-next-line=fp-raw-arith\n"
+            "const u128 sq = u128{m.value()} *\n"
+            "                m.value();\n",
+        )
+
     def test_allowed_inside_field_dir(self):
         self.assert_clean(
             "src/field/goldilocks_extra.cpp",

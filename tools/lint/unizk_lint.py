@@ -143,7 +143,9 @@ class Rule:
     """One table entry of the rule engine.
 
     Exactly one of `pattern` or `checker` drives the rule:
-      - `pattern` rules flag every stripped source line matching the regex;
+      - `pattern` rules search the whole stripped file, so a match may
+        span line breaks (`\s` matches newlines), and flag every line on
+        which a match starts;
       - `checker` rules receive the whole stripped file and return
         (line_number, detail) pairs, for checks that need multi-line
         context (e.g. balanced parentheses).
@@ -539,6 +541,25 @@ def repo_relative(path: str, repo_root: str) -> str:
     return rel.replace(os.sep, "/")
 
 
+def match_start_lines(pattern: re.Pattern, text: str) -> List[int]:
+    """1-based lines on which some match of @p pattern starts.
+
+    Restarting one character past each match start (not past its end)
+    finds every start position, so a match that runs onto the next line
+    cannot hide one that starts there.
+    """
+    lines: List[int] = []
+    pos = 0
+    while True:
+        m = pattern.search(text, pos)
+        if m is None:
+            return lines
+        lineno = text.count("\n", 0, m.start()) + 1
+        if not lines or lines[-1] != lineno:
+            lines.append(lineno)
+        pos = m.start() + 1
+
+
 def lint_file(path: str, repo_root: str) -> List[Finding]:
     relpath = repo_relative(path, repo_root)
     try:
@@ -557,14 +578,13 @@ def lint_file(path: str, repo_root: str) -> List[Finding]:
             return True
         return rule_name in per_line_supp.get(lineno, set())
 
+    text = "\n".join(stripped)
     for rule in RULES:
         if not rule.applies_to(relpath):
             continue
         if rule.pattern is not None:
-            for lineno, line in enumerate(stripped, start=1):
-                if rule.pattern.search(line) and not suppressed(
-                    rule.name, lineno
-                ):
+            for lineno in match_start_lines(rule.pattern, text):
+                if not suppressed(rule.name, lineno):
                     findings.append(
                         Finding(relpath, lineno, rule.name, rule.message)
                     )

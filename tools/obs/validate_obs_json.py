@@ -9,8 +9,7 @@ Validates the two documents the instrumented binaries emit:
           hardware counters (per-VSA busy/stall/idle, DRAM row-buffer
           and per-bank traffic, scratchpad pressure), the occupancy
           timeline, proof metadata, and the merged obs counters and
-          histograms. "unizk-stats-v1" documents (no hwCounters /
-          timeline / histograms) remain valid.
+          histograms, and the span-buffer accounting.
   trace   the Chrome trace_event document written by --trace-json:
           "M" process_name / thread_name metadata events, "C" counter
           samples (VSA occupancy, queue depth on sim lanes), and "X"
@@ -56,7 +55,7 @@ KERNEL_CLASSES = (
     "LayoutTransform",
 )
 
-STATS_SCHEMAS = ("unizk-stats-v1", "unizk-stats-v2")
+STATS_SCHEMA = "unizk-stats-v2"
 
 
 class ValidationError(Exception):
@@ -172,12 +171,10 @@ def validate_timeline(tl: Any, total_cycles: float, path: str) -> None:
         last_cycle = s["cycle"]
 
 
-def validate_sim(sim: Any, path: str, version: int) -> None:
-    required = ("totalCycles", "seconds", "readRequests",
-                "writeRequests", "config", "perClass")
-    if version >= 2:
-        required += ("hwCounters", "timeline")
-    _expect_keys(sim, required, path)
+def validate_sim(sim: Any, path: str) -> None:
+    _expect_keys(sim, ("totalCycles", "seconds", "readRequests",
+                       "writeRequests", "config", "perClass",
+                       "hwCounters", "timeline"), path)
     for key in ("totalCycles", "seconds", "readRequests", "writeRequests"):
         _expect_number(sim, key, path)
 
@@ -223,11 +220,10 @@ def validate_sim(sim: Any, path: str, version: int) -> None:
         f"{sim['totalCycles']}",
     )
 
-    if version >= 2:
-        validate_hw_counters(sim["hwCounters"], int(cfg["numVsas"]),
-                             f"{path}.hwCounters")
-        validate_timeline(sim["timeline"], sim["totalCycles"],
-                          f"{path}.timeline")
+    validate_hw_counters(sim["hwCounters"], int(cfg["numVsas"]),
+                         f"{path}.hwCounters")
+    validate_timeline(sim["timeline"], sim["totalCycles"],
+                      f"{path}.timeline")
 
 
 def validate_histograms(histograms: Any, path: str) -> None:
@@ -288,15 +284,13 @@ def validate_span_buffers(sb: Any, path: str) -> None:
 
 
 def validate_stats(doc: Any, path: str) -> None:
-    _expect_keys(doc, ("schema", "runs", "counters"), path)
+    _expect_keys(doc, ("schema", "runs", "counters", "histograms",
+                       "spanBuffers"), path)
     _expect(
-        doc["schema"] in STATS_SCHEMAS,
+        doc["schema"] == STATS_SCHEMA,
         path,
-        f"schema is {doc['schema']!r}, expected one of {STATS_SCHEMAS}",
+        f"schema is {doc['schema']!r}, expected {STATS_SCHEMA!r}",
     )
-    version = int(doc["schema"].rsplit("-v", 1)[1])
-    if version >= 2:
-        _expect_keys(doc, ("histograms",), path)
     _expect(isinstance(doc["runs"], list), path, "'runs' must be an array")
     _expect(doc["runs"], path, "'runs' must not be empty")
     for i, run in enumerate(doc["runs"]):
@@ -325,7 +319,7 @@ def validate_stats(doc: Any, path: str) -> None:
         _expect(isinstance(run["proof"]["verified"], bool), f"{rpath}.proof",
                 "'verified' must be a boolean")
 
-        validate_sim(run["sim"], f"{rpath}.sim", version)
+        validate_sim(run["sim"], f"{rpath}.sim")
 
     counters = doc["counters"]
     _expect(isinstance(counters, dict), path, "'counters' must be an object")
@@ -337,13 +331,8 @@ def validate_stats(doc: Any, path: str) -> None:
             f"counter {name!r} must be a non-negative integer, got {value!r}",
         )
 
-    if version >= 2:
-        validate_histograms(doc["histograms"], path)
-        # spanBuffers is newer than v2 and optional for backward
-        # compatibility with archived documents.
-        if "spanBuffers" in doc:
-            validate_span_buffers(doc["spanBuffers"],
-                                  f"{path}.spanBuffers")
+    validate_histograms(doc["histograms"], path)
+    validate_span_buffers(doc["spanBuffers"], f"{path}.spanBuffers")
 
 
 # --------------------------------------------------------------------------

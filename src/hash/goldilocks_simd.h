@@ -8,14 +8,16 @@
  * Two levels:
  *
  *  - Scalar (always available): Poseidon::permuteBatch runs permute()
- *    once per state. Four scalar lanes in lockstep were measured
- *    slower than that, so there is no scalar lane type.
+ *    once per state. Scalar lanes in lockstep were measured slower
+ *    than that, so there is no scalar lane type.
  *  - Avx2 (goldilocks_simd_avx2.cpp, compiled only when the toolchain
- *    targets x86-64): four 64-bit lanes in one __m256i, add/sub/mul
- *    pinned to the same masked identities as the Fp operators
- *    (2^64 === 2^32 - 1, 2^96 === -1 mod p), so every lane holds the
- *    canonical representative after every operation and the batch
- *    agrees bit for bit with permute().
+ *    targets x86-64): kSimdBatchWidth = 8 states per call, each
+ *    element held as two interleaved __m256i of four 64-bit lanes.
+ *    add/mul are pinned to the same masked identities as the Fp
+ *    operators (2^64 === 2^32 - 1, 2^96 === -1 mod p), and each
+ *    linear-layer row is one dot product, reduced once per row. Every
+ *    lane holds the canonical representative after every operation,
+ *    so the batch agrees bit for bit with permute().
  *
  * Dispatch is decided once per process: the UNIZK_SIMD environment
  * variable ({auto, avx2, scalar}, parsed strictly through common/env.h)
@@ -38,7 +40,7 @@
 namespace unizk {
 
 /** Number of sponge states one SIMD batch advances together. */
-constexpr size_t kSimdBatchWidth = 4;
+constexpr size_t kSimdBatchWidth = 8;
 
 /** Available SIMD dispatch levels, in increasing capability order. */
 enum class SimdLevel
@@ -75,12 +77,20 @@ bool setSimdLevel(SimdLevel level);
 
 #if defined(UNIZK_HAVE_AVX2)
 /**
- * The AVX2 kernel: advance exactly kSimdBatchWidth sponge states in
+ * The AVX2 kernel: advance exactly kSimdBatchWidth (8) sponge states in
  * place. Exposed (rather than hidden behind permuteBatch) so the test
  * suite can check it against permute() regardless of the dispatched
  * level.
  */
-void poseidonPermuteBatch4Avx2(const Poseidon &p, PoseidonState *states);
+void poseidonPermuteBatch8Avx2(const Poseidon &p, PoseidonState *states);
+
+/**
+ * The kernel's lane dot product on its own: for each lane k <
+ * kSimdBatchWidth, out[k] = sum_{j < n} w[j] * x[j * kSimdBatchWidth + k],
+ * canonical. Exposed so the test suite can feed the lazily reduced
+ * accumulator the extreme limbs a permutation never hands it directly.
+ */
+void fpDotBatch8Avx2(const Fp *w, const Fp *x, size_t n, Fp *out);
 #endif
 
 } // namespace unizk

@@ -1,10 +1,15 @@
 /**
  * @file
- * AVX2 backend of the Goldilocks lane layer: four 64-bit residues per
- * __m256i, advanced with the same masked identities as the Fp
- * operators (operator+ / operator- / operator*):
+ * AVX2 backend of the Goldilocks lane layer: eight sponge states per
+ * lane value, held as two interleaved __m256i of four 64-bit residues
+ * each, advanced with the same masked identities as the Fp operators
+ * (operator+ / operator*):
  *
  *   2^64 === 2^32 - 1 (mod p),   2^96 === -1 (mod p)
+ *
+ * Two registers per value give the latency-bound partial rounds (a
+ * serial S-box chain on state[0]) a second independent chain to
+ * overlap with.
  *
  * AVX2 has no 64x64->128 multiply and no unsigned 64-bit compare, so
  *  - products are assembled from four 32x32 vpmuludq partial products
@@ -12,6 +17,10 @@
  *  - unsigned compares bias both operands by 2^63 and use the signed
  *    vpcmpgtq (cmpGtU64 below),
  *  - the mid * (2^32 - 1) term of the reduction is (mid << 32) - mid.
+ *
+ * A dot product (one linear-layer row) is reduced lazily: ProductSum
+ * adds the partial products of every term into 64-bit accumulators per
+ * limb weight and runs the carry chain and the reduction once per row.
  *
  * Every operation returns the canonical representative, so the batch
  * is bit-interchangeable with Poseidon::permute; the equivalence suite
@@ -26,6 +35,9 @@
  */
 
 #include <immintrin.h>
+
+#include <type_traits>
+#include <vector>
 
 #include "hash/goldilocks_simd.h"
 #include "hash/poseidon_batch.h"
@@ -86,14 +98,30 @@ addU64Mod(__m256i a, __m256i b)
     return canonicalize(s);
 }
 
-/** Canonical a - b, mirroring Fp's operator-. */
+/**
+ * Canonical residue of lo + mid * 2^64 + top * 2^96, for mid < 2^32 and
+ * top <= 2^64 - 2^32: the reduce128 identities of the Fp multiply,
+ *   x === lo + mid * (2^32 - 1) - top (mod p).
+ */
 inline __m256i
-subU64Mod(__m256i a, __m256i b)
+reduceLimbs(__m256i lo, __m256i mid, __m256i top)
 {
-    __m256i d = _mm256_sub_epi64(a, b);
-    const __m256i borrowed = cmpGtU64(b, a);
-    d = _mm256_add_epi64(d, _mm256_and_si256(modulusVec(), borrowed));
-    return d;
+    const __m256i eps = epsilonVec();
+
+    __m256i t0 = _mm256_sub_epi64(lo, top);
+    // A borrow wrapped the difference by +2^64 === 2^32 - 1, so take
+    // that back off; lo - top + 2^64 >= 2^32, so this cannot borrow.
+    const __m256i borrowed = cmpGtU64(top, lo);
+    t0 = _mm256_sub_epi64(t0, _mm256_and_si256(eps, borrowed));
+
+    // mid * (2^32 - 1) = (mid << 32) - mid, exact in 64 bits.
+    const __m256i t1 =
+        _mm256_sub_epi64(_mm256_slli_epi64(mid, 32), mid);
+
+    __m256i res = _mm256_add_epi64(t0, t1);
+    const __m256i carried = cmpGtU64(t1, res);
+    res = _mm256_add_epi64(res, _mm256_and_si256(eps, carried));
+    return canonicalize(res);
 }
 
 /** Canonical a * b, mirroring Fp's operator*. */
@@ -122,87 +150,186 @@ mulU64Mod(__m256i a, __m256i b)
         _mm256_add_epi64(_mm256_add_epi64(hh, _mm256_srli_epi64(t, 32)),
                          _mm256_srli_epi64(u, 32));
 
-    // reduce128: x = lo + mid*2^64 + top*2^96
-    //              === lo + mid*(2^32 - 1) - top (mod p).
-    const __m256i mid = _mm256_and_si256(hi, eps);
-    const __m256i top = _mm256_srli_epi64(hi, 32);
-
-    __m256i t0 = _mm256_sub_epi64(lo, top);
-    const __m256i borrowed = cmpGtU64(top, lo);
-    t0 = _mm256_sub_epi64(t0, _mm256_and_si256(eps, borrowed));
-
-    // mid * (2^32 - 1) = (mid << 32) - mid, exact in 64 bits.
-    const __m256i t1 =
-        _mm256_sub_epi64(_mm256_slli_epi64(mid, 32), mid);
-
-    __m256i res = _mm256_add_epi64(t0, t1);
-    const __m256i carried = cmpGtU64(t1, res);
-    res = _mm256_add_epi64(res, _mm256_and_si256(eps, carried));
-    return canonicalize(res);
+    return reduceLimbs(lo, _mm256_and_si256(hi, eps),
+                       _mm256_srli_epi64(hi, 32));
 }
 
 /**
- * Four Goldilocks lanes in one AVX2 register, lane k belonging to
- * sponge state k: the lane type poseidonPermuteBatch4Impl expects.
+ * A lazily reduced sum of 64x64-bit products, lane-wise: add() costs
+ * 18 vector ops per term (four vpmuludq, two shuffles, four shifts,
+ * eight adds) where a canonical multiply plus a canonical add costs
+ * about 50; reduce() pays the carry chain and reduceLimbs once for the
+ * whole sum.
+ *
+ * Each term w * x splits into partial products ll = wl*xl (weight
+ * 2^0), lh = wl*xh and hl = wh*xl (2^32), hh = wh*xh (2^64). For each
+ * weight 2^(32k), f_k sums the whole products modulo 2^64 and h_(k+1)
+ * sums their high 32-bit halves exactly. The low halves then sum to
+ * f_k - (h_(k+1) << 32): exact modulo 2^64 and below 2n * 2^32, so
+ * for n < 2^31 it is the true sum. The h_k and the per-weight sums
+ * stay below 3n * 2^32, far from overflow for a Poseidon row (n = 12).
  */
-struct FpVec4Avx2
+class ProductSum
 {
-    __m256i v;
-
-    /** Element @p i of four consecutive sponge states, one per lane. */
-    static FpVec4Avx2
-    gather(const PoseidonState *states, size_t i)
+  public:
+    /** Add w * x, w the same constant in every lane. */
+    void
+    add(Fp w, __m256i x)
     {
-        // set_epi64x lists lanes high-to-low.
-        return {_mm256_set_epi64x(
-            static_cast<long long>(states[3][i].value()),
-            static_cast<long long>(states[2][i].value()),
-            static_cast<long long>(states[1][i].value()),
-            static_cast<long long>(states[0][i].value()))};
+        // vpmuludq reads the low 32 bits of each 64-bit lane, so the
+        // high halves only need moving down, not zero-extending.
+        const __m256i w_lo =
+            _mm256_set1_epi64x(static_cast<long long>(w.value()));
+        const __m256i w_hi = _mm256_shuffle_epi32(w_lo, 0xF5);
+        const __m256i x_hi = _mm256_shuffle_epi32(x, 0xF5);
+        const __m256i ll = _mm256_mul_epu32(x, w_lo);
+        const __m256i lh = _mm256_mul_epu32(x_hi, w_lo);
+        const __m256i hl = _mm256_mul_epu32(x, w_hi);
+        const __m256i hh = _mm256_mul_epu32(x_hi, w_hi);
+        f0_ = _mm256_add_epi64(f0_, ll);
+        h1_ = _mm256_add_epi64(h1_, _mm256_srli_epi64(ll, 32));
+        f1_ = _mm256_add_epi64(f1_, _mm256_add_epi64(lh, hl));
+        h2_ = _mm256_add_epi64(h2_,
+                               _mm256_add_epi64(_mm256_srli_epi64(lh, 32),
+                                                _mm256_srli_epi64(hl, 32)));
+        f2_ = _mm256_add_epi64(f2_, hh);
+        h3_ = _mm256_add_epi64(h3_, _mm256_srli_epi64(hh, 32));
     }
 
-    /** Write the lanes back into element @p i of four states. */
+    /** The canonical residue of the sum. */
+    __m256i
+    reduce() const
+    {
+        const __m256i eps = epsilonVec();
+        // Exact per-weight sums s_k, value = sum_k s_k * 2^(32k).
+        const __m256i s0 = _mm256_sub_epi64(f0_, _mm256_slli_epi64(h1_, 32));
+        const __m256i s1 = _mm256_add_epi64(
+            _mm256_sub_epi64(f1_, _mm256_slli_epi64(h2_, 32)), h1_);
+        const __m256i s2 = _mm256_add_epi64(
+            _mm256_sub_epi64(f2_, _mm256_slli_epi64(h3_, 32)), h2_);
+
+        // Carry into lo (bits 0..63), mid (64..95), top (96..).
+        const __m256i c1 = _mm256_add_epi64(s1, _mm256_srli_epi64(s0, 32));
+        const __m256i lo = _mm256_or_si256(_mm256_slli_epi64(c1, 32),
+                                           _mm256_and_si256(s0, eps));
+        const __m256i c2 = _mm256_add_epi64(s2, _mm256_srli_epi64(c1, 32));
+        const __m256i top =
+            _mm256_add_epi64(h3_, _mm256_srli_epi64(c2, 32));
+        return reduceLimbs(lo, _mm256_and_si256(c2, eps), top);
+    }
+
+  private:
+    __m256i f0_ = _mm256_setzero_si256();
+    __m256i f1_ = _mm256_setzero_si256();
+    __m256i f2_ = _mm256_setzero_si256();
+    __m256i h1_ = _mm256_setzero_si256();
+    __m256i h2_ = _mm256_setzero_si256();
+    __m256i h3_ = _mm256_setzero_si256();
+};
+
+/**
+ * One Goldilocks element of kSimdBatchWidth = 8 sponge states, lane k
+ * of v[k / 4] belonging to state k: the lane type
+ * poseidonPermuteBatchImpl expects. Every operation runs on both
+ * halves, so the two dependency chains interleave.
+ */
+struct FpVec8Avx2
+{
+    static constexpr size_t kHalves = 2;
+    static constexpr size_t kLanes = 4;
+
+    __m256i v[kHalves];
+
+    /** Element @p i of eight consecutive sponge states, one per lane. */
+    static FpVec8Avx2
+    gather(const PoseidonState *states, size_t i)
+    {
+        FpVec8Avx2 out;
+        for (size_t h = 0; h < kHalves; ++h) {
+            const PoseidonState *s = states + h * kLanes;
+            // set_epi64x lists lanes high-to-low.
+            out.v[h] = _mm256_set_epi64x(
+                static_cast<long long>(s[3][i].value()),
+                static_cast<long long>(s[2][i].value()),
+                static_cast<long long>(s[1][i].value()),
+                static_cast<long long>(s[0][i].value()));
+        }
+        return out;
+    }
+
+    /** Write the lanes back into element @p i of eight states. */
     void
     scatter(PoseidonState *states, size_t i) const
     {
         alignas(32) uint64_t out[kSimdBatchWidth];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(out), v);
+        for (size_t h = 0; h < kHalves; ++h)
+            _mm256_store_si256(reinterpret_cast<__m256i *>(out + h * kLanes),
+                               v[h]);
         for (size_t k = 0; k < kSimdBatchWidth; ++k)
             states[k][i] = Fp(out[k]);
     }
 
     /** The same constant in every lane. */
-    static FpVec4Avx2
+    static FpVec8Avx2
     broadcast(Fp x)
     {
-        return {_mm256_set1_epi64x(static_cast<long long>(x.value()))};
+        const __m256i b =
+            _mm256_set1_epi64x(static_cast<long long>(x.value()));
+        return {{b, b}};
     }
 
-    static FpVec4Avx2
-    add(const FpVec4Avx2 &a, const FpVec4Avx2 &b)
+    static FpVec8Avx2
+    add(const FpVec8Avx2 &a, const FpVec8Avx2 &b)
     {
-        return {addU64Mod(a.v, b.v)};
+        return {{addU64Mod(a.v[0], b.v[0]), addU64Mod(a.v[1], b.v[1])}};
     }
 
-    static FpVec4Avx2
-    sub(const FpVec4Avx2 &a, const FpVec4Avx2 &b)
+    static FpVec8Avx2
+    mul(const FpVec8Avx2 &a, const FpVec8Avx2 &b)
     {
-        return {subU64Mod(a.v, b.v)};
+        return {{mulU64Mod(a.v[0], b.v[0]), mulU64Mod(a.v[1], b.v[1])}};
     }
 
-    static FpVec4Avx2
-    mul(const FpVec4Avx2 &a, const FpVec4Avx2 &b)
+    /** Canonical sum of w[j] * x[j] over j < n, reduced once. */
+    static FpVec8Avx2
+    dot(const Fp *w, const FpVec8Avx2 *x, size_t n)
     {
-        return {mulU64Mod(a.v, b.v)};
+        FpVec8Avx2 out;
+        for (size_t h = 0; h < kHalves; ++h) {
+            ProductSum sum;
+            for (size_t j = 0; j < n; ++j)
+                sum.add(w[j], x[j].v[h]);
+            out.v[h] = sum.reduce();
+        }
+        return out;
     }
 };
 
 } // namespace
 
 void
-poseidonPermuteBatch4Avx2(const Poseidon &p, PoseidonState *states)
+poseidonPermuteBatch8Avx2(const Poseidon &p, PoseidonState *states)
 {
-    poseidonPermuteBatch4Impl<FpVec4Avx2>(p, states);
+    poseidonPermuteBatchImpl<FpVec8Avx2>(p, states);
+}
+
+void
+fpDotBatch8Avx2(const Fp *w, const Fp *x, size_t n, Fp *out)
+{
+    // Fp is one uint64_t, so a run of four is one __m256i.
+    static_assert(sizeof(Fp) == sizeof(uint64_t) &&
+                  std::is_trivially_copyable_v<Fp>);
+    std::vector<FpVec8Avx2> lanes(n);
+    for (size_t j = 0; j < n; ++j)
+        for (size_t h = 0; h < FpVec8Avx2::kHalves; ++h)
+            lanes[j].v[h] = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(
+                    x + j * kSimdBatchWidth + h * FpVec8Avx2::kLanes));
+    const FpVec8Avx2 sum = FpVec8Avx2::dot(w, lanes.data(), n);
+    for (size_t h = 0; h < FpVec8Avx2::kHalves; ++h)
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(out + h * FpVec8Avx2::kLanes),
+            sum.v[h]);
 }
 
 } // namespace unizk

@@ -43,12 +43,12 @@ using PoseidonState = std::array<Fp, PoseidonConfig::width>;
 
 /**
  * One partial round's sparse linear layer [[m00, v^T], [w, I]]:
- * out[0] = m00*s[0] + sum v[j]*s[j+1];  out[i] = w[i-1]*s[0] + s[i].
+ * out[0] = row0 . s with row0 = (m00, v^T);  out[i] = w[i-1]*s[0] + s[i].
+ * The first row is stored whole so out[0] is one dot product.
  */
 struct SparseMdsLayer
 {
-    Fp m00;
-    std::array<Fp, PoseidonConfig::width - 1> v;
+    std::array<Fp, PoseidonConfig::width> row0;
     std::array<Fp, PoseidonConfig::width - 1> w;
 };
 

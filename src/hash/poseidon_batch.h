@@ -1,17 +1,24 @@
 /**
  * @file
- * The batched Poseidon permutation, templated over a 4-wide Goldilocks
- * lane type (today only the AVX2 backend's). Vectorization is
- * *vertical*: lane k of every vector belongs to sponge state k, so all
- * four states advance through identical operations in lockstep and no
- * horizontal (cross-lane) instruction is ever needed -- full rounds,
- * the dense PreMDSMatrix, and the sparse partial-round chain all
- * become element-wise vector arithmetic against broadcast constants.
+ * The batched Poseidon permutation, templated over a Goldilocks lane
+ * type V that holds one element of kSimdBatchWidth sponge states
+ * (today only the AVX2 backend's). Vectorization is *vertical*: lane k
+ * of every vector belongs to sponge state k, so all states advance
+ * through identical operations in lockstep and no horizontal
+ * (cross-lane) instruction is ever needed -- full rounds, the dense
+ * PreMDSMatrix, and the sparse partial-round chain all become
+ * element-wise vector arithmetic against broadcast constants.
+ *
+ * The lane type provides gather/scatter, broadcast, add, mul and
+ * dot(w, x, n) = sum w[j] * x[j]. Every linear-layer row -- each row of
+ * the dense MDS and PreMDS matrices and each partial round's new
+ * state[0] -- is one dot, which the backend accumulates lazily and
+ * reduces once per row rather than once per term.
  *
  * This mirrors Poseidon::permute (the optimized Algorithm-1 form) step
- * for step; since every lane operation returns the canonical
- * representative, the result is bit-identical to four scalar permute()
- * calls, which the dispatch-equivalence suite pins against
+ * for step; since every lane operation, dot included, returns the
+ * canonical representative, the result is bit-identical to scalar
+ * permute() calls, which the dispatch-equivalence suite pins against
  * permuteNaive.
  *
  * No intrinsics appear here (the raw-simd-intrinsic lint rule scopes
@@ -28,7 +35,7 @@ namespace unizk {
 
 template <typename V>
 inline void
-poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states)
+poseidonPermuteBatchImpl(const Poseidon &p, PoseidonState *states)
 {
     constexpr uint32_t t = PoseidonConfig::width;
     constexpr uint32_t rp = PoseidonConfig::partialRounds;
@@ -50,19 +57,12 @@ poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states)
         return V::mul(x6, x);
     };
 
-    // Dense t x t matrix against broadcast row constants. Unlike the
-    // scalar fpDot path there is no lazy-reduction trick: every product
-    // is reduced to canonical form, which keeps the backends exactly
-    // interchangeable.
+    // Dense t x t matrix against broadcast row constants, one dot per
+    // row (reduced once per row, as scalar fpDot is).
     const auto dense = [&st](const Fp *m) {
         V out[t];
-        for (uint32_t i = 0; i < t; ++i) {
-            V acc = V::mul(V::broadcast(m[i * t]), st[0]);
-            for (uint32_t j = 1; j < t; ++j)
-                acc = V::add(acc,
-                             V::mul(V::broadcast(m[i * t + j]), st[j]));
-            out[i] = acc;
-        }
+        for (uint32_t i = 0; i < t; ++i)
+            out[i] = V::dot(&m[i * t], st, t);
         for (uint32_t i = 0; i < t; ++i)
             st[i] = out[i];
     };
@@ -86,14 +86,12 @@ poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states)
     const auto &partial_c = p.partialConstants();
     const auto &layers = p.sparseLayers();
     for (uint32_t r = 0; r < rp; ++r) {
-        V s0 = sbox(st[0]);
-        s0 = V::add(s0, V::broadcast(partial_c[r]));
+        const V s0 =
+            V::add(sbox(st[0]), V::broadcast(partial_c[r]));
+        st[0] = s0;
 
         const SparseMdsLayer &layer = layers[r];
-        V new0 = V::mul(V::broadcast(layer.m00), s0);
-        for (uint32_t j = 0; j + 1 < t; ++j)
-            new0 = V::add(
-                new0, V::mul(V::broadcast(layer.v[j]), st[j + 1]));
+        const V new0 = V::dot(layer.row0.data(), st, t);
         for (uint32_t i = 0; i + 1 < t; ++i)
             st[i + 1] = V::add(
                 st[i + 1], V::mul(V::broadcast(layer.w[i]), s0));

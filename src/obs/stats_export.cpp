@@ -76,9 +76,10 @@ writeTimeline(JsonWriter &w, const SimReport &sim)
     w.beginObject();
     w.kv("samplePeriodCycles", sim.timelineSamplePeriod);
     w.key("samples").beginArray();
-    for (const TimelineSample &s : sim.timeline) {
+    for (size_t i = 0; i < sim.timeline.size(); ++i) {
+        const TimelineSample &s = sim.timeline[i];
         w.beginObject();
-        w.kv("cycle", s.cycle);
+        w.kv("cycle", sim.timelineCycle(i));
         w.kv("vsasBusy", static_cast<uint64_t>(s.vsasBusy));
         w.kv("queueDepth", s.queueDepth);
         w.kv("class", kernelClassName(s.cls));

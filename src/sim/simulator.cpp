@@ -166,10 +166,9 @@ simulateTrace(const KernelTrace &trace, const HardwareConfig &cfg)
         if (seg >= segments.size())
             break;
         report.timeline.push_back(
-            {t, segments[seg].vsas,
-             static_cast<uint64_t>(trace.ops.size() -
+            {static_cast<uint64_t>(trace.ops.size() -
                                    segments[seg].opIndex),
-             segments[seg].cls});
+             segments[seg].vsas, segments[seg].cls});
     }
     return report;
 }

@@ -62,14 +62,19 @@ struct HwCounters
     uint64_t scratchpadEvictions = 0;
 };
 
-/** One epoch sample of the simulated machine's occupancy. */
+/**
+ * One epoch sample of the simulated machine's occupancy. Sample i is
+ * taken at cycle i * timelineSamplePeriod (SimReport::timelineCycle),
+ * so the cycle is not stored: the proving service keeps up to 1024 run
+ * records, and at ~260 samples each the timeline is most of a record.
+ */
 struct TimelineSample
 {
-    uint64_t cycle = 0;
-    uint32_t vsasBusy = 0;   ///< VSAs occupied by the active kernel
     uint64_t queueDepth = 0; ///< kernels not yet retired (incl. active)
+    uint32_t vsasBusy = 0;   ///< VSAs occupied by the active kernel
     KernelClass cls = KernelClass::Polynomial; ///< active kernel class
 };
+static_assert(sizeof(TimelineSample) == 16, "TimelineSample is padded");
 
 /** Result of simulating one proof-generation trace. */
 struct SimReport
@@ -88,6 +93,12 @@ struct SimReport
 
     /** The sample period actually used (resolved from config). */
     uint64_t timelineSamplePeriod = 0;
+
+    /** The cycle at which timeline sample @p i was taken. */
+    uint64_t timelineCycle(size_t i) const
+    {
+        return i * timelineSamplePeriod;
+    }
 
     const ClassStats &
     classStats(KernelClass c) const

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
+#include <utility>
+
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "hash/challenger.h"
@@ -129,9 +133,9 @@ TEST(Poseidon, SparseLayersHaveExpectedStructure)
     FpMatrix chain_opt = p.preMdsMatrix();
     for (const auto &layer : p.sparseLayers()) {
         FpMatrix a(w, w);
-        a.at(0, 0) = layer.m00;
+        a.at(0, 0) = layer.row0[0];
         for (uint32_t j = 0; j + 1 < w; ++j) {
-            a.at(0, j + 1) = layer.v[j];
+            a.at(0, j + 1) = layer.row0[j + 1];
             a.at(j + 1, 0) = layer.w[j];
             a.at(j + 1, j + 1) = Fp::one();
         }
@@ -268,9 +272,9 @@ TEST(SimdDispatch, SetSimdLevelRejectsUnavailable)
 TEST(SimdDispatch, BatchMatchesNaiveForEveryBatchSize)
 {
     // The exhaustive dispatch-equivalence suite: permuteBatch against
-    // the textbook permuteNaive oracle for every batch size 1..9 (two
-    // full groups of four plus every ragged tail), at every level this
-    // host can execute.
+    // the textbook permuteNaive oracle for every batch size 1..17 (two
+    // full groups of kSimdBatchWidth = 8 plus every ragged tail), at
+    // every level this host can execute.
     const auto &p = Poseidon::instance();
     std::vector<SimdLevel> levels{SimdLevel::Scalar};
     if (simdLevelAvailable(SimdLevel::Avx2))
@@ -278,7 +282,7 @@ TEST(SimdDispatch, BatchMatchesNaiveForEveryBatchSize)
 
     for (const SimdLevel level : levels) {
         withSimdLevel(level, [&] {
-            for (size_t n = 1; n <= 9; ++n) {
+            for (size_t n = 1; n <= 2 * kSimdBatchWidth + 1; ++n) {
                 std::vector<PoseidonState> batch(n);
                 std::vector<PoseidonState> oracle(n);
                 for (size_t i = 0; i < n; ++i) {
@@ -301,21 +305,136 @@ TEST(SimdDispatch, Avx2KernelMatchesScalarKernel)
 #if defined(UNIZK_HAVE_AVX2)
     if (!simdLevelAvailable(SimdLevel::Avx2))
         GTEST_SKIP() << "CPU lacks AVX2";
-    // Differential test of the AVX2 kernel directly (no dispatch)
-    // against permute() per state, itself pinned against permuteNaive:
-    // identical inputs must give bit-identical outputs.
+    // Differential test of the 8-state AVX2 kernel directly (no
+    // dispatch) against permute() per state, itself pinned against
+    // permuteNaive: identical inputs must give bit-identical outputs.
     const auto &p = Poseidon::instance();
     for (uint64_t seed = 0; seed < 25; ++seed) {
         PoseidonState a[kSimdBatchWidth];
         PoseidonState b[kSimdBatchWidth];
         for (size_t i = 0; i < kSimdBatchWidth; ++i) {
-            a[i] = randomState(7000 + seed * 4 + i);
+            a[i] = randomState(7000 + seed * kSimdBatchWidth + i);
             b[i] = a[i];
             p.permute(a[i]);
         }
-        poseidonPermuteBatch4Avx2(p, b);
+        poseidonPermuteBatch8Avx2(p, b);
         for (size_t i = 0; i < kSimdBatchWidth; ++i)
             EXPECT_EQ(a[i], b[i]) << "seed=" << seed << " state=" << i;
+    }
+#else
+    GTEST_SKIP() << "AVX2 backend not compiled in";
+#endif
+}
+
+TEST(SimdDispatch, Avx2KernelMatchesScalarKernelOnExtremeInputs)
+{
+#if defined(UNIZK_HAVE_AVX2)
+    if (!simdLevelAvailable(SimdLevel::Avx2))
+        GTEST_SKIP() << "CPU lacks AVX2";
+    // The lazily reduced row accumulator is where an overflow would
+    // hide, so drive the kernel with the values that maximise its
+    // 32-bit limbs and carries, not just random ones.
+    const uint64_t pm1 = Fp::modulus - 1; // 0xFFFFFFFF'00000000
+    const uint64_t lo_max = 0xFFFFFFFFULL;
+    const uint64_t both_max = 0xFFFFFFFEFFFFFFFFULL;
+    const std::vector<std::pair<const char *,
+                                std::function<uint64_t(size_t, size_t)>>>
+        patterns{
+            {"all p-1", [&](size_t, size_t) { return pm1; }},
+            {"all 0", [](size_t, size_t) { return uint64_t{0}; }},
+            {"alternating 0/p-1",
+             [&](size_t k, size_t i) {
+                 return (k + i) % 2 == 0 ? uint64_t{0} : pm1;
+             }},
+            {"limbs at 2^32-1",
+             [&](size_t k, size_t i) {
+                 const uint64_t v[] = {lo_max, pm1, both_max};
+                 return v[(k + i) % 3];
+             }},
+            {"mixed lanes",
+             [&](size_t k, size_t i) {
+                 const uint64_t v[] = {0,      1,        lo_max,
+                                       pm1,    both_max, pm1 - 1,
+                                       lo_max + 1, 0x8000000000000000ULL};
+                 return v[(k * 5 + i * 3) % 8];
+             }},
+        };
+
+    const auto &p = Poseidon::instance();
+    for (const auto &[name, value] : patterns) {
+        PoseidonState a[kSimdBatchWidth];
+        PoseidonState b[kSimdBatchWidth];
+        for (size_t k = 0; k < kSimdBatchWidth; ++k) {
+            for (size_t i = 0; i < PoseidonConfig::width; ++i)
+                a[k][i] = Fp(value(k, i));
+            b[k] = a[k];
+            p.permute(a[k]);
+        }
+        poseidonPermuteBatch8Avx2(p, b);
+        for (size_t k = 0; k < kSimdBatchWidth; ++k)
+            EXPECT_EQ(a[k], b[k]) << name << " state=" << k;
+    }
+#else
+    GTEST_SKIP() << "AVX2 backend not compiled in";
+#endif
+}
+
+TEST(SimdDispatch, Avx2LaneDotMatchesFpDotOnExtremeLimbs)
+{
+#if defined(UNIZK_HAVE_AVX2)
+    if (!simdLevelAvailable(SimdLevel::Avx2))
+        GTEST_SKIP() << "CPU lacks AVX2";
+    // The lane dot sums the 32-bit halves of every partial product in
+    // 64-bit lanes and reduces once. All-(p-1) weights and inputs
+    // maximise every limb sum; 2^32-1 limbs maximise the carries. Rows
+    // far longer than a Poseidon row (12) show the headroom.
+    const uint64_t pm1 = Fp::modulus - 1; // 0xFFFFFFFF'00000000
+    const uint64_t extremes[] = {pm1,         0xFFFFFFFFULL,
+                                 0xFFFFFFFEFFFFFFFFULL, 0,
+                                 1,           pm1 - 1};
+    constexpr size_t kExtremes = std::size(extremes);
+    SplitMix64 rng(9);
+    for (const size_t n : {1u, 2u, 11u, 12u, 13u, 64u}) {
+        for (size_t variant = 0; variant <= kExtremes; ++variant) {
+            // variant < kExtremes: every weight and input that value;
+            // the last variant mixes them per term and lane.
+            std::vector<Fp> w(n);
+            std::vector<Fp> x(n * kSimdBatchWidth);
+            for (size_t j = 0; j < n; ++j) {
+                w[j] = Fp(variant < kExtremes
+                              ? extremes[variant]
+                              : extremes[(j * 7) % kExtremes]);
+                for (size_t k = 0; k < kSimdBatchWidth; ++k)
+                    x[j * kSimdBatchWidth + k] =
+                        Fp(variant < kExtremes
+                               ? extremes[variant]
+                               : extremes[(j + 3 * k) % kExtremes]);
+            }
+            Fp out[kSimdBatchWidth];
+            fpDotBatch8Avx2(w.data(), x.data(), n, out);
+            for (size_t k = 0; k < kSimdBatchWidth; ++k) {
+                std::vector<Fp> lane(n);
+                for (size_t j = 0; j < n; ++j)
+                    lane[j] = x[j * kSimdBatchWidth + k];
+                EXPECT_EQ(out[k], fpDot(w.data(), lane.data(), n))
+                    << "n=" << n << " variant=" << variant
+                    << " lane=" << k;
+            }
+        }
+        // Random rows as a control.
+        std::vector<Fp> w(n), x(n * kSimdBatchWidth);
+        for (auto &e : w)
+            e = randomFp(rng);
+        for (auto &e : x)
+            e = randomFp(rng);
+        Fp out[kSimdBatchWidth];
+        fpDotBatch8Avx2(w.data(), x.data(), n, out);
+        for (size_t k = 0; k < kSimdBatchWidth; ++k) {
+            Fp ref;
+            for (size_t j = 0; j < n; ++j)
+                ref += w[j] * x[j * kSimdBatchWidth + k];
+            EXPECT_EQ(out[k], ref) << "random n=" << n << " lane=" << k;
+        }
     }
 #else
     GTEST_SKIP() << "AVX2 backend not compiled in";
@@ -330,8 +449,9 @@ TEST(SimdDispatch, BatchHashingMatchesScalarHashing)
     // empty inputs, and ragged tails.
     SplitMix64 rng(42);
     std::vector<std::vector<Fp>> inputs;
-    for (const size_t len : {135u, 135u, 135u, 135u, 135u, 8u, 9u, 0u,
-                             3u, 135u, 135u, 135u, 135u, 1u, 4u, 5u}) {
+    for (const size_t len :
+         {135u, 135u, 135u, 135u, 135u, 135u, 135u, 135u, 135u, 8u, 9u, 0u,
+          3u, 135u, 135u, 135u, 135u, 1u, 4u, 5u}) {
         std::vector<Fp> in;
         for (size_t i = 0; i < len; ++i)
             in.push_back(randomFp(rng));
@@ -355,14 +475,14 @@ TEST(SimdDispatch, BatchHashingMatchesScalarHashing)
                 EXPECT_EQ(batch[i], hashOrNoop(inputs[i]))
                     << simdLevelName(level) << " input " << i;
 
-            // Two-to-one over 9 pairs: two full batches + ragged tail.
-            std::vector<HashOut> children(18);
+            // Two-to-one over 17 pairs: two full batches + ragged tail.
+            std::vector<HashOut> children(34);
             for (auto &c : children)
                 for (auto &e : c.elems)
                     e = randomFp(rng);
-            std::vector<HashOut> compressed(9);
-            hashTwoToOneBatch(children.data(), 9, compressed.data());
-            for (size_t i = 0; i < 9; ++i)
+            std::vector<HashOut> compressed(17);
+            hashTwoToOneBatch(children.data(), 17, compressed.data());
+            for (size_t i = 0; i < 17; ++i)
                 EXPECT_EQ(compressed[i],
                           hashTwoToOne(children[2 * i],
                                        children[2 * i + 1]))

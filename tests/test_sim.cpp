@@ -390,10 +390,10 @@ TEST(Simulator, TimelineSamplesCoverSchedule)
     for (size_t i = 0; i < r.timeline.size(); ++i) {
         const TimelineSample &s = r.timeline[i];
         if (i > 0) {
-            EXPECT_GT(s.cycle, last);
+            EXPECT_GT(r.timelineCycle(i), last);
         }
-        last = s.cycle;
-        EXPECT_LT(s.cycle, r.totalCycles);
+        last = r.timelineCycle(i);
+        EXPECT_LT(r.timelineCycle(i), r.totalCycles);
         EXPECT_GT(s.vsasBusy, 0u);
         EXPECT_GT(s.queueDepth, 0u);
         EXPECT_LE(s.queueDepth, trace.ops.size());
@@ -413,7 +413,7 @@ TEST(Simulator, TimelinePeriodKnobIsHonored)
     const SimReport r = simulateTrace(trace, cfg);
     EXPECT_EQ(r.timelineSamplePeriod, 1000u);
     ASSERT_GT(r.timeline.size(), 1u);
-    EXPECT_EQ(r.timeline[1].cycle - r.timeline[0].cycle, 1000u);
+    EXPECT_EQ(r.timelineCycle(1) - r.timelineCycle(0), 1000u);
 }
 
 TEST(Simulator, CountersAreAdditiveNotBehavioral)

@@ -18,8 +18,13 @@ same small workload -- once bare, once with --stats-json / --trace-json
 Registered as the `obs_cli_smoke` ctest; also run by CI's obs-schema
 job. Stdlib-only by design.
 
+With --obs-compiled-out (a -DUNIZK_DISABLE_OBS=ON build) the spans and
+counters are compiled out: check 2 then asserts there are no obs
+counters or histograms, check 3 is skipped, and everything else runs.
+
 Usage:
-    python3 tools/obs/cli_smoke_test.py /path/to/unizk_cli
+    python3 tools/obs/cli_smoke_test.py /path/to/unizk_cli \
+        [--obs-compiled-out]
 """
 
 from __future__ import annotations
@@ -82,7 +87,8 @@ def check_folded(folded_path: str, protocol: str) -> None:
                 f"{protocol}: malformed folded line {line!r}")
 
 
-def check_protocol(cli: str, protocol: str, workdir: str) -> None:
+def check_protocol(cli: str, protocol: str, workdir: str,
+                   obs: bool) -> None:
     stats_path = os.path.join(workdir, f"{protocol}-stats.json")
     trace_path = os.path.join(workdir, f"{protocol}-trace.json")
     folded_path = os.path.join(workdir, f"{protocol}-spans.folded")
@@ -114,15 +120,20 @@ def check_protocol(cli: str, protocol: str, workdir: str) -> None:
         raise SystemExit(f"stats rows is {run['rows']}, expected 256")
     if not run["proof"]["verified"]:
         raise SystemExit(f"{protocol}: proof did not verify")
-    if not stats["counters"]:
-        raise SystemExit(f"{protocol}: no obs counters recorded")
     if stats["schema"] != "unizk-stats-v2":
         raise SystemExit(
             f"{protocol}: schema is {stats['schema']!r}, expected v2")
-    if not stats["histograms"]:
-        raise SystemExit(f"{protocol}: no obs histograms recorded")
+    if obs:
+        if not stats["counters"]:
+            raise SystemExit(f"{protocol}: no obs counters recorded")
+        if not stats["histograms"]:
+            raise SystemExit(f"{protocol}: no obs histograms recorded")
+        check_folded(folded_path, protocol)
+    elif stats["counters"] or stats["histograms"]:
+        raise SystemExit(
+            f"{protocol}: obs counters recorded, but the build was "
+            "declared obs-compiled-out")
     check_hw_counters(run, protocol)
-    check_folded(folded_path, protocol)
 
     with open(proof_bare, "rb") as f:
         bare = f.read()
@@ -140,14 +151,17 @@ def check_protocol(cli: str, protocol: str, workdir: str) -> None:
 
 
 def main(argv) -> int:
+    obs = "--obs-compiled-out" not in argv
+    argv = [a for a in argv if a != "--obs-compiled-out"]
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     cli = argv[0]
     with tempfile.TemporaryDirectory() as workdir:
         for protocol in ("plonky2", "starky"):
-            check_protocol(cli, protocol, workdir)
-    print("obs_cli_smoke: OK")
+            check_protocol(cli, protocol, workdir, obs)
+    print("obs_cli_smoke: OK" if obs else
+          "obs_cli_smoke: OK (obs compiled out)")
     return 0
 
 

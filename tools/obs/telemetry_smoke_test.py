@@ -32,9 +32,15 @@ Legs:
 Registered as the `telemetry_smoke` ctest; also run by CI's obs-schema
 job. Stdlib-only by design.
 
+With --obs-compiled-out (a -DUNIZK_DISABLE_OBS=ON build) the service
+counters and histograms are compiled out: leg 2 then asserts the final
+scrape carries none of the request families. Legs 1 and 3 run
+unchanged (the window log still validates; it reconciles no counters).
+
 Usage:
     python3 tools/obs/telemetry_smoke_test.py \\
-        /path/to/unizkd /path/to/unizk_load /path/to/unizk_top
+        /path/to/unizkd /path/to/unizk_load /path/to/unizk_top \\
+        [--obs-compiled-out]
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ def check_exposition(text: str, label: str) -> None:
 
 
 def traced_load_and_scrapes(load: str, top: str, sock: str,
-                            workdir: str) -> str:
+                            workdir: str, obs: bool) -> str:
     """Leg 1 + 2: returns the report path for later inspection."""
     report = os.path.join(workdir, "report.json")
     requests = 10
@@ -147,12 +153,15 @@ def traced_load_and_scrapes(load: str, top: str, sock: str,
 
     final = scrape_prom(top, sock)
     check_exposition(final, "final scrape")
-    if "unizk_service_requests_completed_total" not in final:
-        raise SystemExit(
-            "final scrape lacks unizk_service_requests_completed_total")
-    if "unizk_service_request_latency_ns_bucket" not in final:
-        raise SystemExit(
-            "final scrape lacks the request-latency histogram")
+    families = ("unizk_service_requests_completed_total",
+                "unizk_service_request_latency_ns_bucket")
+    if obs:
+        for family in families:
+            if family not in final:
+                raise SystemExit(f"final scrape lacks {family}")
+    elif any(family in final for family in families):
+        raise SystemExit("final scrape carries service families, but "
+                         "the build was declared obs-compiled-out")
     print("telemetry_smoke: exposition scrape OK")
     return report
 
@@ -208,6 +217,8 @@ def windows_leg(daemon: subprocess.Popen, windows_path: str) -> None:
 
 
 def main(argv) -> int:
+    obs = "--obs-compiled-out" not in argv
+    argv = [a for a in argv if a != "--obs-compiled-out"]
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
@@ -226,12 +237,13 @@ def main(argv) -> int:
         )
         try:
             wait_for_socket(sock, daemon)
-            traced_load_and_scrapes(load, top, sock, workdir)
+            traced_load_and_scrapes(load, top, sock, workdir, obs)
             windows_leg(daemon, windows_path)
         finally:
             if daemon.poll() is None:
                 daemon.kill()
-    print("telemetry_smoke: OK")
+    print("telemetry_smoke: OK" if obs else
+          "telemetry_smoke: OK (obs compiled out)")
     return 0
 
 
